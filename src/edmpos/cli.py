@@ -16,12 +16,14 @@ import numpy as np
 from .consistency import Verdict
 from .errors import (
     BadShape,
+    DegenerateCoefficient,
     EdmPosError,
     GaleInfeasible,
     GeometryRejection,
     NegativeSquare,
     NoConvergence,
     NotAnEdm,
+    PoleEvaluation,
     SingularGeometry,
 )
 from .harness import (
@@ -45,9 +47,10 @@ EXIT_BAD_INPUT = 64
 
 
 def _exit_code_for(exc: Exception) -> int:
-    if isinstance(exc, (SingularGeometry, GeometryRejection, GaleInfeasible, NotAnEdm)):
+    if isinstance(exc, (SingularGeometry, GeometryRejection, GaleInfeasible, NotAnEdm,
+                        DegenerateCoefficient)):
         return EXIT_INFEASIBLE
-    if isinstance(exc, NoConvergence):
+    if isinstance(exc, (NoConvergence, PoleEvaluation)):
         return EXIT_NO_CONVERGENCE
     return EXIT_BAD_INPUT
 

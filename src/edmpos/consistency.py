@@ -19,6 +19,7 @@ from .errors import BadShape
 
 DEFAULT_KAPPA_TOL = 1e-8
 DEFAULT_GALE_TOL = 1e-8
+GALE_NORM_FLOOR = 1e-6
 
 
 @dataclass(frozen=True)
@@ -97,6 +98,22 @@ def kappa(y, bundle: EdmBundle) -> float:
     return _kappa_of_diff(as_vector(y, bundle.n) - bundle.b, bundle)
 
 
+def gale_residual(z: np.ndarray, bundle: EdmBundle) -> float:
+    """Relative null-space residual of a difference z = +-(y - b).
+
+    max|Z'z| over |z|, with |z| floored at GALE_NORM_FLOOR * |b|.  Shared by
+    the consistency verdict and position recovery so the two agree on which
+    vectors are realizable.  Zero when n = r + 1 leaves no null directions.
+    """
+    if bundle.Z.shape[1] == 0:
+        return 0.0
+    # floor the normalization at a fraction of |b|: when y lands on b (a
+    # receiver at the anchor centroid) the difference is pure round-off and a
+    # z-relative residual would read structural infeasibility into noise
+    ref = max(float(np.linalg.norm(z)), GALE_NORM_FLOOR * float(np.linalg.norm(bundle.b)))
+    return float(np.abs(bundle.Z.T @ z).max()) / ref if ref > 0.0 else 0.0
+
+
 def kappa_band(y, tol: float = DEFAULT_KAPPA_TOL) -> float:
     """Absolute tolerance band for kappa, relative to the measurement magnitude."""
     vec = as_vector(y)
@@ -151,19 +168,15 @@ def self_consistency_test(
     z = vec - bundle.b
     k = _kappa_of_diff(z, bundle)
     band = kappa_band(vec, tol)
-    if bundle.Z.shape[1] == 0:
-        gale_res = 0.0
-    else:
-        znorm = float(np.linalg.norm(z))
-        gale_res = float(np.abs(bundle.Z.T @ z).max()) / znorm if znorm > 0.0 else 0.0
-        if gale_res > gale_tol:
-            return ConsistencyVerdict(
-                kappa=k,
-                gale_residual=gale_res,
-                tag=Verdict.GALE_INFEASIBLE,
-                band=band,
-                borderline=False,
-            )
+    gale_res = gale_residual(z, bundle)
+    if gale_res > gale_tol:
+        return ConsistencyVerdict(
+            kappa=k,
+            gale_residual=gale_res,
+            tag=Verdict.GALE_INFEASIBLE,
+            band=band,
+            borderline=False,
+        )
     return ConsistencyVerdict(
         kappa=k,
         gale_residual=gale_res,

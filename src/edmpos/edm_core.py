@@ -9,8 +9,8 @@ positions are mapped back to meters by undoing the scale and the translation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -31,6 +31,9 @@ class SatelliteConfig:
 
     P is (n, r) with column sums ~0.  ``centroid`` stays in meters so a
     recovered position can be translated back: world = centered/scale + centroid.
+    Q, R are the reduced QR factors of P, computed once at construction for
+    every position solve on this geometry; rank_deficient flags an R whose
+    diagonal is numerically singular, which position recovery refuses.
     """
 
     P: np.ndarray
@@ -38,6 +41,17 @@ class SatelliteConfig:
     n: int
     r: int
     scale: float
+    Q: np.ndarray = field(init=False, repr=False, compare=False)
+    R: np.ndarray = field(init=False, repr=False, compare=False)
+    rank_deficient: bool = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        Q, R = np.linalg.qr(self.P)
+        rdiag = np.abs(np.diag(R))
+        deficient = not rdiag.size or rdiag.min() <= 1e-12 * max(rdiag.max(), 1e-300)
+        object.__setattr__(self, "Q", _readonly(Q))
+        object.__setattr__(self, "R", _readonly(R))
+        object.__setattr__(self, "rank_deficient", bool(deficient))
 
 
 def center_configuration(
@@ -157,6 +171,8 @@ class EdmBundle:
         W, delta: eigenvectors/eigenvalues of X above the rank cut, descending.
         U: eigenvectors of X at the rank cut (null block).
         rank_tol: relative eigenvalue cut used to split (W, delta) from U.
+        P_eigen: centered eigen realization (V W) sqrt(delta), (n, r); its
+            Gram matrix is B.
     """
 
     D: np.ndarray
@@ -171,10 +187,41 @@ class EdmBundle:
     delta: np.ndarray
     U: np.ndarray
     rank_tol: float
+    P_eigen: np.ndarray
 
     @property
     def n(self) -> int:
         return self.D.shape[0]
+
+    @cached_property
+    def n4_basis(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eigen-decomposition (mu, S) of Bdag for four anchors in three dimensions.
+
+        mu is descending with mu[3] = 0 exactly; S is orthonormal with the
+        null column S[:, 3] = ones/2 exactly and each other column's largest
+        entry positive.  Computed on first use and kept with the bundle.
+        """
+        if self.n != 4 or self.r != 3:
+            raise BadShape(f"requires 4 anchors spanning 3 dimensions, got n={self.n}, r={self.r}")
+        evals, evecs = np.linalg.eigh(self.Bdag)
+        mu = evals[::-1].copy()
+        S = evecs[:, ::-1].copy()
+        mu[3] = 0.0
+        S[:, 3] = 0.5  # exact unit null vector ones/2
+        # pinning the null column can leave the others off-orthogonal by
+        # ~cond(B) * eps; one Gram-Schmidt pass restores machine orthonormality
+        for j in range(3):
+            col = S[:, j] - S[:, 3] * (S[:, 3] @ S[:, j])
+            for k in range(j):
+                col -= S[:, k] * (S[:, k] @ col)
+            S[:, j] = col / np.linalg.norm(col)
+        for j in range(3):
+            col = S[:, j]
+            if col[np.argmax(np.abs(col))] < 0.0:
+                S[:, j] = -col
+        if float(np.abs(S.T @ S - np.eye(4)).max()) > 1e-10:
+            raise BadShape("eigenvector matrix lost orthonormality")
+        return _readonly(mu), _readonly(S)
 
 
 def _check_hollow_symmetric(D: np.ndarray) -> np.ndarray:
@@ -239,6 +286,7 @@ def factor_edm(
         delta=_readonly(delta),
         U=_readonly(U),
         rank_tol=float(rank_tol),
+        P_eigen=_readonly(VW * np.sqrt(delta)),
     )
 
 
@@ -248,7 +296,7 @@ def eigen_configuration(bundle: EdmBundle) -> np.ndarray:
     Returns the (n, r) matrix V W sqrt(delta): its Gram matrix is exactly B.
     Any other centered realization differs from it by a rotation/reflection.
     """
-    return (bundle.V @ bundle.W) * np.sqrt(bundle.delta)
+    return bundle.P_eigen
 
 
 def _classify_eigs(evals: np.ndarray, rank_tol: float) -> EdmClass:

@@ -16,6 +16,7 @@ import csv
 import json
 import time
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +42,13 @@ from .edm_core import (
 )
 from .errors import BadShape, GeometryRejection, NegativeSquare
 from .report import SolveReport
-from .solver_general import nlp_oracle, solve_qcqp, solve_unconstrained
+from .solver_general import (
+    DEFAULT_GRAD_TOL,
+    DEFAULT_SECULAR_TOL,
+    nlp_oracle,
+    solve_qcqp,
+    solve_unconstrained,
+)
 from .solver_n4 import solve_n4
 
 SCENARIO_SCHEMA = "edmpos-scenario/1"
@@ -49,6 +56,10 @@ SCENARIO_SCHEMA = "edmpos-scenario/1"
 DEFAULT_SHELL_RADIUS = 2.66e7
 DEFAULT_RECEIVER_RADIUS = 6.4e6
 DEFAULT_MAX_COND = 1e5
+# anchor sets whose factorization prepare_scenario keeps; above the few dozen
+# fixed geometries a tracking network cycles through, since an LRU bound below
+# the cycle length misses on every call
+GEOMETRY_MEMO_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -267,19 +278,37 @@ class PipelineOptions:
     rank_tol: float = DEFAULT_RANK_TOL
     kappa_tol: float = DEFAULT_KAPPA_TOL
     gale_tol: float = DEFAULT_GALE_TOL
-    secular_tol: float = 1e-13
-    grad_tol: float = 1e-14
+    secular_tol: float = DEFAULT_SECULAR_TOL
+    grad_tol: float = DEFAULT_GRAD_TOL
     max_iter: int = 200
     debias: bool = False
+
+
+@lru_cache(maxsize=GEOMETRY_MEMO_SIZE)
+def _factor_geometry(
+    data: bytes, shape: tuple[int, ...], scale: float, rank_tol: float
+) -> tuple[SatelliteConfig, EdmBundle]:
+    # keyed by the anchors' float64 bytes, so a hit returns exactly what a
+    # fresh factorization of the same content would; a geometry that raises
+    # is not stored, and every cached array is read-only
+    raw = np.frombuffer(data).reshape(shape)
+    config = center_configuration(raw, scale, rank_tol)
+    D = build_edm(config)
+    bundle = factor_edm(D, build_v_basis(config.n), rank_tol)
+    return config, bundle
 
 
 def prepare_scenario(
     sc: Scenario, opts: PipelineOptions = PipelineOptions()
 ) -> tuple[SatelliteConfig, EdmBundle, Measurement]:
-    """Center, scale, and factor a scenario; build its measurement."""
-    config = center_configuration(sc.satellites, opts.scale, opts.rank_tol)
-    D = build_edm(config)
-    bundle = factor_edm(D, build_v_basis(config.n), opts.rank_tol)
+    """Center, scale, and factor a scenario; build its measurement.
+
+    The anchor factorization depends only on the anchors, the scale and the
+    rank tolerance; the last GEOMETRY_MEMO_SIZE distinct sets are kept and
+    reused, so repeated anchors cost only the per-measurement work.
+    """
+    raw = np.asarray(sc.satellites, dtype=float)
+    config, bundle = _factor_geometry(raw.tobytes(), raw.shape, opts.scale, opts.rank_tol)
     measurement = Measurement.from_ranges(sc.pseudoranges, opts.scale)
     return config, bundle, measurement
 

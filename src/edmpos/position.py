@@ -7,12 +7,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .consistency import as_vector
+from .consistency import DEFAULT_GALE_TOL, as_vector, gale_residual
 from .edm_core import EdmBundle, SatelliteConfig
 from .errors import BadShape, GaleInfeasible, SingularGeometry
-
-DEFAULT_GALE_TOL = 1e-8
-GALE_NORM_FLOOR = 1e-6
 
 
 @dataclass(frozen=True)
@@ -63,35 +60,25 @@ def recover_position(
     [P 1]; for n > r+1 that is checked through the null-space residual and a
     violation raises GaleInfeasible.  Multiplying out the ones-component gives
     |q|^2 = mean(y - b) and the remaining least-squares system is solved
-    through a QR factorization of P.
+    through the configuration's QR factors of P.
     """
     y = as_vector(y_star, bundle.n)
     if config.n != bundle.n:
         raise BadShape(f"configuration has {config.n} anchors, bundle has {bundle.n}")
     z = bundle.b - y
-    if bundle.Z.shape[1] > 0:
-        znorm = float(np.linalg.norm(z))
-        # floor the normalization at a fraction of |b|: when y lands on b the
-        # difference is pure round-off and a z-relative residual would read
-        # structural infeasibility into noise
-        ref = max(znorm, GALE_NORM_FLOOR * float(np.linalg.norm(bundle.b)))
-        gale_res = float(np.abs(bundle.Z.T @ z).max()) / ref if ref > 0.0 else 0.0
-        if gale_res > gale_tol:
-            raise GaleInfeasible(
-                f"relative null-space residual {gale_res:.3e} exceeds {gale_tol:.1e}; "
-                "no point realizes this squared-range vector"
-            )
-    else:
-        gale_res = 0.0
+    gale_res = gale_residual(z, bundle)
+    if gale_res > gale_tol:
+        raise GaleInfeasible(
+            f"relative null-space residual {gale_res:.3e} exceeds {gale_tol:.1e}; "
+            "no point realizes this squared-range vector"
+        )
     # demean first: the |q|^2 * 1 component would otherwise sit in the
     # least-squares residual and amplify conditioning error
     zmean = z.mean()
     zc = z - zmean
-    Q, R = np.linalg.qr(config.P)
-    rdiag = np.abs(np.diag(R))
-    if rdiag.min() <= 1e-12 * max(rdiag.max(), 1e-300):
+    if config.rank_deficient:
         raise SingularGeometry("anchor matrix is numerically rank deficient")
-    q = 0.5 * solve_triangular(R, Q.T @ zc, check_finite=False)
+    q = 0.5 * solve_triangular(config.R, config.Q.T @ zc, check_finite=False)
     qtq_identity = float(-zmean)
     q_world = q / config.scale + config.centroid
     return PositionFix(

@@ -24,7 +24,7 @@ from .consistency import (
     kappa,
     self_consistency_test,
 )
-from .edm_core import EdmBundle, SatelliteConfig, build_edm, eigen_configuration, factor_edm
+from .edm_core import EdmBundle, SatelliteConfig, build_edm, factor_edm
 from .errors import DegenerateCoefficient, NoConvergence, PoleEvaluation, SingularGeometry
 from .position import recover_position
 from .report import SolveReport
@@ -32,6 +32,9 @@ from .rootfind import find_root_increasing
 
 DEFAULT_SECULAR_TOL = 1e-13
 DEFAULT_GRAD_TOL = 1e-14
+# relative distance to a pole below which the secular functions refuse to
+# evaluate; relative to each pole, because the root finder's first probe sits
+# 1e-12 * nu[-1] below the nearest one whatever the scale of nu
 POLE_GUARD = 1e-14
 DEGENERACY_RTOL = 1e-12
 
@@ -46,9 +49,8 @@ ORACLE_SEED = 1723
 class SecularProblemGen:
     """Spectral data of the general projection in the eigenbasis realization.
 
-    nu: eigenvalues of the quadratic form P'P, descending, all positive.
-    Sp: eigenvectors of that form; the identity here because the eigenbasis
-        realization diagonalizes it.
+    nu: eigenvalues of the quadratic form P'P, descending, all positive; the
+        eigenbasis realization diagonalizes that form.
     w: transformed right-hand side.
     hprime: linear level (4/n) 1'(dm - b).
     kappa_dm: inconsistency of the measurement.
@@ -59,7 +61,6 @@ class SecularProblemGen:
     """
 
     nu: np.ndarray
-    Sp: np.ndarray
     w: np.ndarray
     hprime: float
     kappa_dm: float
@@ -76,7 +77,7 @@ def build_secular_general(dm, bundle: EdmBundle) -> SecularProblemGen:
     nu = bundle.delta.copy()
     if nu[-1] <= bundle.rank_tol * nu[0]:
         raise SingularGeometry("quadratic form is numerically singular")
-    P_eigen = eigen_configuration(bundle)
+    P_eigen = bundle.P_eigen
     z = y - bundle.b
     w = P_eigen.T @ z
     hprime = (4.0 / bundle.n) * float(z.sum())
@@ -90,7 +91,6 @@ def build_secular_general(dm, bundle: EdmBundle) -> SecularProblemGen:
     degenerate = bottom_mass <= DEGENERACY_RTOL * ref
     return SecularProblemGen(
         nu=nu,
-        Sp=np.eye(bundle.r),
         w=w,
         hprime=hprime,
         kappa_dm=kappa_dm,
@@ -107,7 +107,7 @@ def eval_f(sp: SecularProblemGen, lam: float) -> float:
     -kappa_dm exactly in floating point.
     """
     t = sp.nu - lam
-    if np.any(np.abs(t) < POLE_GUARD * np.maximum(sp.nu, 1.0)):
+    if np.any(np.abs(t) < POLE_GUARD * sp.nu):
         raise PoleEvaluation(f"multiplier {lam} is too close to a pole")
     terms = sp.w**2 * lam * (2.0 * sp.nu - lam) / (sp.nu**2 * t**2)
     return float(terms.sum() + (8.0 / sp.n) * lam - sp.kappa_dm)
@@ -115,17 +115,9 @@ def eval_f(sp: SecularProblemGen, lam: float) -> float:
 
 def eval_f_prime(sp: SecularProblemGen, lam: float) -> float:
     t = sp.nu - lam
-    if np.any(np.abs(t) < POLE_GUARD * np.maximum(sp.nu, 1.0)):
+    if np.any(np.abs(t) < POLE_GUARD * sp.nu):
         raise PoleEvaluation(f"multiplier {lam} is too close to a pole")
     return float(2.0 * np.sum(sp.w**2 / t**3) + 8.0 / sp.n)
-
-
-def eval_f_raw(sp: SecularProblemGen, lam: float) -> float:
-    """Same function in its unreduced pole-sum form, kept for cross-checks."""
-    t = sp.nu - lam
-    if np.any(np.abs(t) < POLE_GUARD * np.maximum(sp.nu, 1.0)):
-        raise PoleEvaluation(f"multiplier {lam} is too close to a pole")
-    return float(np.sum(sp.w**2 / t**2) + (8.0 / sp.n) * lam - sp.hprime)
 
 
 def multiplier_bracket(sp: SecularProblemGen) -> tuple[float, float]:

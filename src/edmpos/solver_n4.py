@@ -20,14 +20,11 @@ from .consistency import (
     kappa,
 )
 from .edm_core import EdmBundle, SatelliteConfig
-from .errors import BadShape, DegenerateCoefficient, NoConvergence, PoleEvaluation
+from .errors import DegenerateCoefficient, NoConvergence, PoleEvaluation
 from .position import recover_position
 from .report import SolveReport
 from .rootfind import find_root_increasing
-
-DEFAULT_SECULAR_TOL = 1e-13
-POLE_GUARD = 1e-14
-DEGENERACY_RTOL = 1e-12
+from .solver_general import DEFAULT_SECULAR_TOL, DEGENERACY_RTOL, POLE_GUARD, nlp_oracle
 
 
 @dataclass(frozen=True)
@@ -36,6 +33,7 @@ class SecularProblemN4:
 
     mu: eigenvalues of the Gram pseudoinverse, descending, mu[3] = 0 exactly.
     S: the matching orthonormal eigenvectors; S[:, 3] is ones/2 exactly.
+        Both are the bundle's ``n4_basis``, shared by every measurement.
     c: transformed right-hand side; c[3] = 1 exactly.
     kappa_dm: inconsistency of the measurement.
     h: level constant kappa_dm + sum(c_i^2 / mu_i) used for tolerance scaling.
@@ -53,27 +51,8 @@ class SecularProblemN4:
 
 def build_secular_n4(dm, bundle: EdmBundle) -> SecularProblemN4:
     """Assemble the secular problem from the measurement and anchor bundle."""
-    if bundle.n != 4 or bundle.r != 3:
-        raise BadShape(f"requires 4 anchors spanning 3 dimensions, got n={bundle.n}, r={bundle.r}")
+    mu, S = bundle.n4_basis
     y = as_vector(dm, 4)
-    evals, evecs = np.linalg.eigh(bundle.Bdag)
-    mu = evals[::-1].copy()
-    S = evecs[:, ::-1].copy()
-    mu[3] = 0.0
-    S[:, 3] = 0.5  # exact unit null vector ones/2
-    # pinning the null column can leave the others off-orthogonal by
-    # ~cond(B) * eps; one Gram-Schmidt pass restores machine orthonormality
-    for j in range(3):
-        col = S[:, j] - S[:, 3] * (S[:, 3] @ S[:, j])
-        for k in range(j):
-            col -= S[:, k] * (S[:, k] @ col)
-        S[:, j] = col / np.linalg.norm(col)
-    for j in range(3):
-        col = S[:, j]
-        if col[np.argmax(np.abs(col))] < 0.0:
-            S[:, j] = -col
-    if float(np.abs(S.T @ S - np.eye(4)).max()) > 1e-10:
-        raise BadShape("eigenvector matrix lost orthonormality")
     z = y - bundle.b
     c = -mu * (S.T @ z)
     c[3] = 1.0
@@ -108,15 +87,6 @@ def eval_g_prime(sp: SecularProblemN4, lam: float) -> float:
     if np.any(np.abs(t) < POLE_GUARD):
         raise PoleEvaluation(f"multiplier {lam} is within {POLE_GUARD} of a pole")
     return float(2.0 * np.sum(sp.c[:3] ** 2 / t**3) + 2.0)
-
-
-def eval_g_raw(sp: SecularProblemN4, lam: float) -> float:
-    """Same function in its unreduced matrix form, kept for cross-checks."""
-    d = 1.0 - lam * sp.mu
-    if np.any(np.abs(d) < POLE_GUARD):
-        raise PoleEvaluation(f"multiplier {lam} is within {POLE_GUARD} of a pole")
-    u = sp.c / d
-    return float(lam**2 * np.sum(sp.mu * u**2) + 2.0 * lam * np.sum(sp.c * u) - sp.kappa_dm)
 
 
 def multiplier_bracket(sp: SecularProblemN4) -> tuple[float, float]:
@@ -174,8 +144,6 @@ def solve_n4(
                 "measurement has no component on the dominant secular direction "
                 "and no configuration was supplied for the oracle fallback"
             )
-        from .solver_general import nlp_oracle
-
         report = nlp_oracle(y, config, bundle=bundle)
         return SolveReport(
             y_star=report.y_star,

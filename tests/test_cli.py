@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from edmpos.cli import main
+from edmpos.cli import EXIT_INFEASIBLE, EXIT_NO_CONVERGENCE, main
+from edmpos.errors import DegenerateCoefficient, PoleEvaluation
 from edmpos.harness import ConstantBias, Scenario, SingleFault, apply_noise, generate_scenario
 
 
@@ -141,3 +142,19 @@ def test_flat_geometry_is_infeasible(tmp_path, capsys):
 
 def test_no_arguments_is_bad_input(capsys):
     assert main([]) == 64
+
+
+@pytest.mark.parametrize(
+    "exc, code",
+    [(PoleEvaluation("multiplier on a pole"), EXIT_NO_CONVERGENCE),
+     (DegenerateCoefficient("no dominant coefficient"), EXIT_INFEASIBLE)],
+)
+def test_solver_errors_exit_codes(clean_file, monkeypatch, capsys, exc, code):
+    path, _ = clean_file
+
+    def failing(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr("edmpos.cli.run_pipeline", failing)
+    assert main(["solve", str(path)]) == code
+    assert "error:" in capsys.readouterr().err

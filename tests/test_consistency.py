@@ -160,6 +160,29 @@ def test_self_consistency_on_exact_squares():
         assert verdict.gale_residual <= 1e-8
 
 
+@pytest.mark.parametrize("offset_m", [0.01, 1.0])
+def test_receiver_near_centroid_is_consistent(offset_m):
+    """Exact ranges from next to the anchor centroid: y - b is round-off there.
+
+    The verdict must use the same |b|-floored Gale residual as position
+    recovery, or it reads that round-off as a structural fault.
+    """
+    from dataclasses import replace
+
+    from edmpos.harness import generate_scenario, run_pipeline
+
+    for seed in range(100):
+        sc = generate_scenario(6, seed=seed)
+        direction = np.random.default_rng(seed).normal(size=3)
+        receiver = sc.satellites.mean(axis=0) + offset_m * direction / np.linalg.norm(direction)
+        sc = replace(sc, true_receiver=receiver,
+                     pseudoranges=np.linalg.norm(sc.satellites - receiver, axis=1))
+        report = run_pipeline(sc)
+        assert report.verdict.tag is Verdict.SELF_CONSISTENT
+        assert report.verdict.gale_residual <= 1e-8
+        assert np.linalg.norm(report.q - receiver) <= 1e-6
+
+
 def test_gale_component_dominates():
     rng = np.random.default_rng(47)
     _, bundle = make_bundle(rng, 5)

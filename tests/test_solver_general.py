@@ -17,7 +17,6 @@ from edmpos.solver_general import (
     build_secular_general,
     eval_f,
     eval_f_prime,
-    eval_f_raw,
     minimize_quartic,
     multiplier_bracket,
     nlp_oracle,
@@ -44,6 +43,12 @@ def make_instance(rng, n, radius=2.66e7, scale=1e-7):
 def exact_squares(config, q_centered):
     diff = config.P - q_centered
     return np.einsum("ij,ij->i", diff, diff)
+
+
+def eval_f_raw(sp, lam):
+    """Secular function in its unreduced pole-sum form, the reference for eval_f."""
+    t = sp.nu - lam
+    return float(np.sum(sp.w**2 / t**2) + (8.0 / sp.n) * lam - sp.hprime)
 
 
 def faulty_measurement(rng, config, bundle, scale=0.2):
@@ -153,6 +158,24 @@ def test_pole_guard():
     sp = build_secular_general(dm, bundle)
     with pytest.raises(PoleEvaluation):
         eval_f(sp, float(sp.nu[-1]))
+
+
+def test_small_bottom_eigenvalue_still_solves():
+    """The guard is relative to the pole: a small nu[-1] with kappa > 0 still projects.
+
+    With a guard of 1e-14 * max(nu, 1), the root finder's first probe at
+    hi - 1e-12 * nu[-1] fell inside it whenever nu[-1] < 1e-2.
+    """
+    from edmpos.harness import GaussianSq, apply_noise, generate_scenario, prepare_scenario
+
+    sc = apply_noise(generate_scenario(5, seed=303), GaussianSq(2.0), seed=303001)
+    config, bundle, meas = prepare_scenario(sc)
+    assert bundle.delta[-1] < 1e-2
+    assert kappa(meas.dm, bundle) > kappa_band(meas.dm)
+    report = solve_qcqp(meas.dm, bundle, config=config)
+    ref = nlp_oracle(meas.dm, config, bundle=bundle)
+    assert report.lambda_star < bundle.delta[-1]
+    assert abs(report.objective - ref.objective) <= 1e-6 * ref.objective
 
 
 def test_solve_clean_measurement():

@@ -16,7 +16,6 @@ from edmpos.solver_n4 import (
     build_secular_n4,
     eval_g,
     eval_g_prime,
-    eval_g_raw,
     multiplier_bracket,
     solve_n4,
 )
@@ -41,6 +40,12 @@ def make_instance(rng, radius=2.66e7, scale=1e-7):
 def exact_squares(config, q_centered):
     diff = config.P - q_centered
     return np.einsum("ij,ij->i", diff, diff)
+
+
+def eval_g_raw(sp, lam):
+    """Secular function in its unreduced matrix form, the reference for eval_g."""
+    u = sp.c / (1.0 - lam * sp.mu)
+    return float(lam**2 * np.sum(sp.mu * u**2) + 2.0 * lam * np.sum(sp.c * u) - sp.kappa_dm)
 
 
 def faulty_measurement(rng, config, bundle):
