@@ -66,7 +66,6 @@ from .solver_general import (
     solve_qcqp,
     solve_unconstrained,
 )
-from .solver_n4 import SecularProblemN4, build_secular_n4, eval_g, solve_n4
 
 __version__ = "0.1.0"
 
@@ -94,7 +93,6 @@ __all__ = [
     "SatelliteConfig",
     "Scenario",
     "SecularProblemGen",
-    "SecularProblemN4",
     "SingleFault",
     "SingularGeometry",
     "SolveReport",
@@ -104,7 +102,6 @@ __all__ = [
     "augmented_edm_check",
     "build_edm",
     "build_secular_general",
-    "build_secular_n4",
     "build_v_basis",
     "center_configuration",
     "classify_edm",
@@ -113,7 +110,6 @@ __all__ = [
     "edm_from_gram",
     "eigen_configuration",
     "eval_f",
-    "eval_g",
     "factor_edm",
     "generate_scenario",
     "gram_from_edm",
@@ -124,7 +120,6 @@ __all__ = [
     "run_batch",
     "run_pipeline",
     "self_consistency_test",
-    "solve_n4",
     "solve_qcqp",
     "solve_unconstrained",
     "verify_fix",

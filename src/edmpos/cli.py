@@ -67,7 +67,7 @@ def _cmd_check(args) -> int:
     sc = Scenario.load(args.scenario)
     opts = _options(args)
     _, bundle, measurement = prepare_scenario(sc, opts)
-    verdict = self_consistency_test(measurement.dm, bundle, opts.kappa_tol, opts.gale_tol)
+    verdict = self_consistency_test(measurement.dm, bundle, opts.kappa_tol)
     if args.json:
         print(json.dumps(verdict.to_dict(), indent=2))
     else:

@@ -135,20 +135,13 @@ def classify_n4(y, bundle: EdmBundle, tol: float = DEFAULT_KAPPA_TOL) -> Consist
 
     Sign of kappa decides: zero (within band) means the measurement extends
     the geometry in three dimensions, positive means the extension needs a
-    fourth dimension, negative means no extension exists.
+    fourth dimension, negative means no extension exists.  With n = r + 1
+    there are no null directions, so this is the general test restricted to
+    that shape.
     """
     if bundle.n != 4 or bundle.r != 3:
         raise BadShape(f"requires 4 anchors spanning 3 dimensions, got n={bundle.n}, r={bundle.r}")
-    vec = as_vector(y, 4)
-    k = kappa(vec, bundle)
-    band = kappa_band(vec, tol)
-    return ConsistencyVerdict(
-        kappa=k,
-        gale_residual=0.0,
-        tag=_tag_by_sign(k, band),
-        band=band,
-        borderline=_is_borderline(k, band),
-    )
+    return self_consistency_test(y, bundle, tol)
 
 
 def self_consistency_test(

@@ -10,7 +10,7 @@ positions are mapped back to meters by undoing the scale and the translation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -192,36 +192,6 @@ class EdmBundle:
     @property
     def n(self) -> int:
         return self.D.shape[0]
-
-    @cached_property
-    def n4_basis(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigen-decomposition (mu, S) of Bdag for four anchors in three dimensions.
-
-        mu is descending with mu[3] = 0 exactly; S is orthonormal with the
-        null column S[:, 3] = ones/2 exactly and each other column's largest
-        entry positive.  Computed on first use and kept with the bundle.
-        """
-        if self.n != 4 or self.r != 3:
-            raise BadShape(f"requires 4 anchors spanning 3 dimensions, got n={self.n}, r={self.r}")
-        evals, evecs = np.linalg.eigh(self.Bdag)
-        mu = evals[::-1].copy()
-        S = evecs[:, ::-1].copy()
-        mu[3] = 0.0
-        S[:, 3] = 0.5  # exact unit null vector ones/2
-        # pinning the null column can leave the others off-orthogonal by
-        # ~cond(B) * eps; one Gram-Schmidt pass restores machine orthonormality
-        for j in range(3):
-            col = S[:, j] - S[:, 3] * (S[:, 3] @ S[:, j])
-            for k in range(j):
-                col -= S[:, k] * (S[:, k] @ col)
-            S[:, j] = col / np.linalg.norm(col)
-        for j in range(3):
-            col = S[:, j]
-            if col[np.argmax(np.abs(col))] < 0.0:
-                S[:, j] = -col
-        if float(np.abs(S.T @ S - np.eye(4)).max()) > 1e-10:
-            raise BadShape("eigenvector matrix lost orthonormality")
-        return _readonly(mu), _readonly(S)
 
 
 def _check_hollow_symmetric(D: np.ndarray) -> np.ndarray:

@@ -22,7 +22,6 @@ from pathlib import Path
 import numpy as np
 
 from .consistency import (
-    DEFAULT_GALE_TOL,
     DEFAULT_KAPPA_TOL,
     Measurement,
     Verdict,
@@ -49,7 +48,6 @@ from .solver_general import (
     solve_qcqp,
     solve_unconstrained,
 )
-from .solver_n4 import solve_n4
 
 SCENARIO_SCHEMA = "edmpos-scenario/1"
 
@@ -277,7 +275,6 @@ class PipelineOptions:
     scale: float = DEFAULT_SCALE
     rank_tol: float = DEFAULT_RANK_TOL
     kappa_tol: float = DEFAULT_KAPPA_TOL
-    gale_tol: float = DEFAULT_GALE_TOL
     secular_tol: float = DEFAULT_SECULAR_TOL
     grad_tol: float = DEFAULT_GRAD_TOL
     max_iter: int = 200
@@ -323,11 +320,6 @@ def _dispatch(
     if method == "auto":
         method = "secular"
     if method == "secular":
-        if bundle.n == 4 and bundle.r == 3:
-            return solve_n4(
-                dm, bundle, opts.secular_tol,
-                kappa_tol=opts.kappa_tol, config=config, max_iter=opts.max_iter,
-            )
         return solve_qcqp(
             dm, bundle, opts.secular_tol,
             kappa_tol=opts.kappa_tol, config=config, max_iter=opts.max_iter,

@@ -1,4 +1,4 @@
-"""Safeguarded scalar root finding shared by the two secular solvers."""
+"""Safeguarded scalar root finding for the secular equation."""
 
 from __future__ import annotations
 

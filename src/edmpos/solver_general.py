@@ -1,4 +1,4 @@
-"""Projection solvers for five or more anchors, plus the independent numerical oracle.
+"""Projection solvers for four or more anchors, plus the independent numerical oracle.
 
 Feasible squared-range vectors have the form y = P x + s * 1 + b with
 |x|^2 = 4 s, where P is any centered realization of the anchor geometry.  The

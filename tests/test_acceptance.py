@@ -41,16 +41,10 @@ from edmpos.solver_general import (
     _quartic_pieces,
     build_secular_general,
     eval_f,
-    multiplier_bracket as bracket_general,
+    multiplier_bracket,
     nlp_oracle,
     solve_qcqp,
     solve_unconstrained,
-)
-from edmpos.solver_n4 import (
-    build_secular_n4,
-    eval_g,
-    multiplier_bracket as bracket_n4,
-    solve_n4,
 )
 
 SCALE = 1e-7
@@ -166,32 +160,20 @@ def test_criterion_4_secular_equation_correctness(capsys):
     with gate(capsys, 4, "secular functions anchored at -kappa, roots strictly "
                          "bracketed, residuals within 1e-12 of level scale"):
         rng = np.random.default_rng(1004)
-        for _ in range(150):
-            config, bundle = make_instance(rng, 4)
-            dm = faulty_measurement(rng, config, bundle)
-            sp = build_secular_n4(dm, bundle)
-            if sp.degenerate:
-                continue
-            assert abs(eval_g(sp, 0.0) + sp.kappa_dm) <= 1e-10 * abs(sp.kappa_dm)
-            report = solve_n4(dm, bundle, config=config)
-            lo, hi = bracket_n4(sp)
-            lam = report.lambda_star
-            assert lo < lam < hi
-            assert abs(eval_g(sp, lam)) <= 1e-12 * max(1.0, abs(sp.h))
-            assert lam < 1.0 / sp.mu[0]
-        for _ in range(150):
-            config, bundle = make_instance(rng, 6)
-            dm = faulty_measurement(rng, config, bundle)
-            sp = build_secular_general(dm, bundle)
-            if sp.degenerate:
-                continue
-            assert abs(eval_f(sp, 0.0) + sp.kappa_dm) <= 1e-10 * abs(sp.kappa_dm)
-            report = solve_qcqp(dm, bundle, config=config)
-            lo, hi = bracket_general(sp)
-            lam = report.lambda_star
-            assert lo < lam < hi
-            assert abs(eval_f(sp, lam)) <= 1e-12 * max(1.0, abs(sp.hprime))
-            assert lam < sp.nu[-1]
+        for n in (4, 6):
+            for _ in range(150):
+                config, bundle = make_instance(rng, n)
+                dm = faulty_measurement(rng, config, bundle)
+                sp = build_secular_general(dm, bundle)
+                if sp.degenerate:
+                    continue
+                assert abs(eval_f(sp, 0.0) + sp.kappa_dm) <= 1e-10 * abs(sp.kappa_dm)
+                report = solve_qcqp(dm, bundle, config=config)
+                lo, hi = multiplier_bracket(sp)
+                lam = report.lambda_star
+                assert lo < lam < hi
+                assert abs(eval_f(sp, lam)) <= 1e-12 * max(1.0, abs(sp.hprime))
+                assert lam < sp.nu[-1]
 
 
 def test_criterion_5_cross_solver_equivalence(capsys):

@@ -59,11 +59,8 @@ def test_cached_geometry_is_shared_and_read_only():
     config, bundle, _ = prepare_scenario(sc)
     again, bundle_again, _ = prepare_scenario(sc)
     assert again is config and bundle_again is bundle
-    # a clean four-anchor row short-circuits before it needs the n=4 basis
-    run_pipeline(sc)
-    assert "n4_basis" not in vars(bundle)
     arrays = [config.P, config.Q, config.R, config.centroid, bundle.D, bundle.b,
-              bundle.Bdag, bundle.Z, bundle.P_eigen, *bundle.n4_basis]
+              bundle.Bdag, bundle.Z, bundle.P_eigen]
     assert not any(a.flags.writeable for a in arrays)
 
 
