@@ -1,4 +1,4 @@
-"""Four-anchor secular solver: dual-form evaluation, brackets, optimality."""
+"""Four anchors through the general secular solver: n = r + 1, no Gale directions."""
 
 import numpy as np
 import pytest
@@ -10,20 +10,18 @@ from edmpos.edm_core import (
     center_configuration,
     factor_edm,
 )
-from edmpos.errors import BadShape, DegenerateCoefficient, PoleEvaluation
-from edmpos.solver_general import nlp_oracle
-from edmpos.solver_n4 import (
-    build_secular_n4,
-    eval_g,
-    eval_g_prime,
+from edmpos.errors import DegenerateCoefficient, PoleEvaluation, SingularGeometry
+from edmpos.solver_general import (
+    build_secular_general,
+    eval_f,
+    eval_f_prime,
     multiplier_bracket,
-    solve_n4,
+    nlp_oracle,
+    solve_qcqp,
 )
 
 
 def make_instance(rng, radius=2.66e7, scale=1e-7):
-    from edmpos.errors import SingularGeometry
-
     while True:
         pts = rng.normal(size=(4, 3))
         pts = radius * pts / np.linalg.norm(pts, axis=1)[:, None]
@@ -42,10 +40,10 @@ def exact_squares(config, q_centered):
     return np.einsum("ij,ij->i", diff, diff)
 
 
-def eval_g_raw(sp, lam):
-    """Secular function in its unreduced matrix form, the reference for eval_g."""
-    u = sp.c / (1.0 - lam * sp.mu)
-    return float(lam**2 * np.sum(sp.mu * u**2) + 2.0 * lam * np.sum(sp.c * u) - sp.kappa_dm)
+def eval_f_raw(sp, lam):
+    """Secular function in its unreduced pole-sum form, the reference for eval_f."""
+    t = sp.nu - lam
+    return float(np.sum(sp.w**2 / t**2) + (8.0 / sp.n) * lam - sp.hprime)
 
 
 def faulty_measurement(rng, config, bundle):
@@ -60,20 +58,23 @@ def faulty_measurement(rng, config, bundle):
 def test_build_at_gram_diagonal():
     rng = np.random.default_rng(3)
     _, bundle = make_instance(rng)
-    sp = build_secular_n4(bundle.b, bundle)
-    assert np.array_equal(sp.c, np.array([0.0, 0.0, 0.0, 1.0]))
+    sp = build_secular_general(bundle.b, bundle)
+    assert np.abs(sp.w).max() <= 1e-12
+    assert sp.hprime == 0.0
     assert sp.kappa_dm == 0.0
     assert sp.degenerate
-    assert sp.mu[3] == 0.0
-    assert np.array_equal(sp.S[:, 3], np.full(4, 0.5))
+    # the ones direction is apart from the geometric columns; only its term is left
+    assert np.abs(sp.P_eigen.sum(axis=0)).max() <= 1e-12 * np.abs(sp.P_eigen).max()
+    for lam in (0.1 * sp.nu[-1], 0.5 * sp.nu[-1]):
+        assert eval_f(sp, lam) == pytest.approx(2.0 * lam, rel=1e-9)
 
 
 def test_build_at_constant_offset():
     rng = np.random.default_rng(5)
     _, bundle = make_instance(rng)
-    sp = build_secular_n4(bundle.b + 0.25 * np.ones(4), bundle)
-    assert np.abs(sp.c[:3]).max() <= 1e-12
-    assert sp.c[3] == 1.0
+    sp = build_secular_general(bundle.b + 0.25 * np.ones(4), bundle)
+    assert np.abs(sp.w).max() <= 1e-12
+    assert sp.hprime == pytest.approx(1.0, rel=1e-12)
     assert sp.kappa_dm == pytest.approx(1.0, rel=1e-12)
     assert sp.degenerate
 
@@ -82,39 +83,42 @@ def test_build_spectral_data_well_formed():
     rng = np.random.default_rng(7)
     config, bundle = make_instance(rng)
     dm = faulty_measurement(rng, config, bundle)
-    sp = build_secular_n4(dm, bundle)
-    assert sp.mu[0] >= sp.mu[1] >= sp.mu[2] > 0.0
-    assert np.abs(sp.S.T @ sp.S - np.eye(4)).max() <= 1e-10
+    sp = build_secular_general(dm, bundle)
+    assert sp.nu[0] >= sp.nu[1] >= sp.nu[2] > 0.0
+    G = sp.P_eigen.T @ sp.P_eigen
+    assert np.abs(G - np.diag(sp.nu)).max() <= 1e-10 * sp.nu[0]
+    assert np.abs(sp.P_eigen.sum(axis=0)).max() <= 1e-10 * np.abs(sp.P_eigen).max()
     assert not sp.degenerate
-    # reciprocal relation against the geometry matrix
-    nu = np.sort(np.linalg.eigvalsh(config.P.T @ config.P))
-    assert np.allclose(np.sort(sp.mu[:3]), 1.0 / nu[::-1], rtol=1e-9)
+    # reciprocal relation against the Gram pseudoinverse
+    mu = np.sort(np.linalg.eigvalsh(bundle.Bdag))[::-1][:3]
+    assert np.allclose(np.sort(mu), np.sort(1.0 / sp.nu), rtol=1e-9)
 
 
 def test_secular_forms_agree():
     rng = np.random.default_rng(11)
     config, bundle = make_instance(rng)
     dm = faulty_measurement(rng, config, bundle)
-    sp = build_secular_n4(dm, bundle)
+    sp = build_secular_general(dm, bundle)
     lo, hi = multiplier_bracket(sp)
     for lam in rng.uniform(lo + 1e-6 * (hi - lo), hi - 1e-6 * (hi - lo), size=100):
-        a = eval_g(sp, float(lam))
-        b = eval_g_raw(sp, float(lam))
+        a = eval_f(sp, float(lam))
+        b = eval_f_raw(sp, float(lam))
         assert abs(a - b) <= 1e-10 * max(1.0, abs(a))
 
 
 def test_secular_matches_kkt_residual_path():
-    """g along the stationary path equals the quadratic form of the KKT point."""
+    """f along the stationary path equals the constraint residual |x|^2 - 4 s."""
     rng = np.random.default_rng(13)
     config, bundle = make_instance(rng)
     dm = faulty_measurement(rng, config, bundle)
-    sp = build_secular_n4(dm, bundle)
+    sp = build_secular_general(dm, bundle)
     lo, hi = multiplier_bracket(sp)
     for lam in rng.uniform(lo + 1e-4 * (hi - lo), hi - 1e-4 * (hi - lo), size=20):
         lam = float(lam)
-        x = -lam * sp.c / (1.0 - lam * sp.mu)
-        direct = x @ (sp.mu * x) - 2.0 * sp.c @ x - sp.kappa_dm
-        assert abs(eval_g(sp, lam) - direct) <= 1e-10 * max(1.0, abs(direct))
+        x = sp.w / (sp.nu - lam)
+        s = (sp.hprime * sp.n / 4.0 - 2.0 * lam) / sp.n
+        direct = float(x @ x) - 4.0 * s
+        assert abs(eval_f(sp, lam) - direct) <= 1e-10 * max(1.0, abs(direct))
 
 
 def test_secular_value_at_zero():
@@ -122,42 +126,42 @@ def test_secular_value_at_zero():
     for _ in range(20):
         config, bundle = make_instance(rng)
         dm = faulty_measurement(rng, config, bundle)
-        sp = build_secular_n4(dm, bundle)
-        assert eval_g(sp, 0.0) == -sp.kappa_dm
+        sp = build_secular_general(dm, bundle)
+        assert eval_f(sp, 0.0) == -sp.kappa_dm
 
 
 def test_secular_monotone_in_bracket():
     rng = np.random.default_rng(19)
     config, bundle = make_instance(rng)
     dm = faulty_measurement(rng, config, bundle)
-    sp = build_secular_n4(dm, bundle)
+    sp = build_secular_general(dm, bundle)
     lo = multiplier_bracket(sp)[0] if sp.kappa_dm < 0.0 else 0.0
-    hi = (1.0 - 1e-6) / sp.mu[0]
+    hi = (1.0 - 1e-6) * sp.nu[-1]
     grid = np.linspace(lo + 1e-9, hi, 1000)
-    vals = np.array([eval_g(sp, float(t)) for t in grid])
+    vals = np.array([eval_f(sp, float(t)) for t in grid])
     assert np.all(np.diff(vals) > 0.0)
-    assert all(eval_g_prime(sp, float(t)) > 0.0 for t in grid)
+    assert all(eval_f_prime(sp, float(t)) > 0.0 for t in grid)
 
 
 def test_pole_guard():
     rng = np.random.default_rng(23)
     config, bundle = make_instance(rng)
     dm = faulty_measurement(rng, config, bundle)
-    sp = build_secular_n4(dm, bundle)
+    sp = build_secular_general(dm, bundle)
     with pytest.raises(PoleEvaluation):
-        eval_g(sp, 1.0 / sp.mu[0])
+        eval_f(sp, float(sp.nu[-1]))
 
 
 def test_solve_self_consistent_short_circuit():
     rng = np.random.default_rng(29)
     config, bundle = make_instance(rng)
     dm = exact_squares(config, 0.64 * rng.normal(size=3))
-    report = solve_n4(dm, bundle, config=config)
+    report = solve_qcqp(dm, bundle, config=config)
     assert report.lambda_star == 0.0
     assert report.iterations == 0
-    assert np.array_equal(report.y_star, dm)
+    assert np.linalg.norm(report.y_star - dm) <= 1e-12 * np.linalg.norm(dm)
     assert report.verdict.tag is Verdict.SELF_CONSISTENT
-    assert report.method == "secular-n4"
+    assert report.method == "secular-gen"
 
 
 def test_solve_faulty_instances_meet_contracts():
@@ -165,17 +169,19 @@ def test_solve_faulty_instances_meet_contracts():
     for _ in range(300):
         config, bundle = make_instance(rng)
         dm = faulty_measurement(rng, config, bundle)
-        report = solve_n4(dm, bundle, config=config)
-        sp = build_secular_n4(dm, bundle)
+        report = solve_qcqp(dm, bundle, config=config)
+        sp = build_secular_general(dm, bundle)
         lo, hi = multiplier_bracket(sp)
         lam = report.lambda_star
         assert lo < lam < hi
-        assert lam < 1.0 / sp.mu[0]
-        assert report.secular_residual <= 1e-12 * max(1.0, abs(sp.h))
-        # stationarity, reading x* back from the returned vector
-        x_star = sp.S.T @ (report.y_star - dm)
-        resid = (1.0 - lam * sp.mu) * x_star + lam * sp.c
+        assert lam < sp.nu[-1]
+        assert report.secular_residual <= 1e-12 * max(1.0, abs(sp.hprime))
+        # stationarity, reading x* and s* back from the returned vector
+        x_star = sp.P_eigen.T @ (report.y_star - bundle.b) / sp.nu
+        resid = (sp.nu - lam) * x_star - sp.w
         assert np.abs(resid).max() <= 1e-10
+        s_star = float(np.sum(report.y_star - bundle.b)) / 4.0
+        assert abs(float(x_star @ x_star) - 4.0 * s_star) <= 1e-10
         assert abs(report.kappa_residual) <= 1e-9
         check = augmented_edm_check(bundle, report.y_star)
         assert check.is_edm and check.dim == 3
@@ -185,7 +191,7 @@ def test_solution_beats_sampled_feasible_points():
     rng = np.random.default_rng(37)
     config, bundle = make_instance(rng)
     dm = exact_squares(config, 0.64 * rng.normal(size=3)) + 0.3
-    report = solve_n4(dm, bundle, config=config)
+    report = solve_qcqp(dm, bundle, config=config)
     best = float(np.sum((report.y_star - dm) ** 2))
     q_star = report.fix.q_centered
     for _ in range(500):
@@ -201,7 +207,7 @@ def test_agreement_with_position_fit():
         ranges = np.sqrt(exact_squares(config, 0.64 * rng.normal(size=3)))
         noisy = ranges * (1.0 + rng.uniform(-0.01, 0.01, size=4))
         dm = noisy**2
-        a = solve_n4(dm, bundle, config=config)
+        a = solve_qcqp(dm, bundle, config=config)
         b = nlp_oracle(dm, config, bundle=bundle)
         scale_ref = float(np.linalg.norm(a.y_star))
         assert np.linalg.norm(a.y_star - b.y_star) <= 1e-6 * scale_ref
@@ -218,8 +224,8 @@ def test_scale_equivariance():
     c2 = center_configuration(pts, alpha * 1e-7)
     b1 = factor_edm(build_edm(c1))
     b2 = factor_edm(build_edm(c2))
-    r1 = solve_n4((1e-7 * ranges) ** 2, b1, config=c1)
-    r2 = solve_n4((alpha * 1e-7 * ranges) ** 2, b2, config=c2)
+    r1 = solve_qcqp((1e-7 * ranges) ** 2, b1, config=c1)
+    r2 = solve_qcqp((alpha * 1e-7 * ranges) ** 2, b2, config=c2)
     assert np.allclose(r2.y_star, alpha**2 * r1.y_star, rtol=1e-9)
     assert np.allclose(r2.fix.q_centered, alpha * r1.fix.q_centered, rtol=1e-8)
     assert np.linalg.norm(r2.q - r1.q) <= 1e-5
@@ -228,25 +234,9 @@ def test_scale_equivariance():
 def test_degenerate_direction_falls_back():
     rng = np.random.default_rng(47)
     config, bundle = make_instance(rng)
-    dm = bundle.b + 0.25 * np.ones(4)  # no component on any nonzero eigenvector
+    dm = bundle.b + 0.25 * np.ones(4)  # no component on any geometric direction
     with pytest.raises(DegenerateCoefficient):
-        solve_n4(dm, bundle)
-    report = solve_n4(dm, bundle, config=config)
+        solve_qcqp(dm, bundle)
+    report = solve_qcqp(dm, bundle, config=config)
     assert report.method == "nlp-oracle[degenerate-fallback]"
     assert report.converged
-
-
-def test_build_rejects_wrong_size():
-    rng = np.random.default_rng(53)
-    from edmpos.errors import SingularGeometry
-
-    while True:
-        pts = rng.normal(size=(5, 3)) * 1e7
-        try:
-            config = center_configuration(pts, 1e-7)
-            break
-        except SingularGeometry:
-            continue
-    bundle = factor_edm(build_edm(config))
-    with pytest.raises(BadShape):
-        build_secular_n4(np.ones(5), bundle)
