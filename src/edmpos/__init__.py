@@ -31,7 +31,6 @@ from .edm_core import (
 )
 from .errors import (
     BadShape,
-    DegenerateCoefficient,
     EdmPosError,
     GaleInfeasible,
     GeometryRejection,
@@ -75,7 +74,6 @@ __all__ = [
     "BatchStats",
     "ConsistencyVerdict",
     "ConstantBias",
-    "DegenerateCoefficient",
     "EdmBundle",
     "EdmClass",
     "EdmPosError",

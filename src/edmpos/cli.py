@@ -13,14 +13,12 @@ import time
 
 import numpy as np
 
-from .consistency import Verdict
+from .consistency import Verdict, self_consistency_test
 from .errors import (
     BadShape,
-    DegenerateCoefficient,
     EdmPosError,
     GaleInfeasible,
     GeometryRejection,
-    NegativeSquare,
     NoConvergence,
     NotAnEdm,
     PoleEvaluation,
@@ -37,7 +35,6 @@ from .harness import (
     run_batch,
     run_pipeline,
 )
-from .consistency import self_consistency_test
 
 EXIT_OK = 0
 EXIT_FAULTY = 2
@@ -47,8 +44,7 @@ EXIT_BAD_INPUT = 64
 
 
 def _exit_code_for(exc: Exception) -> int:
-    if isinstance(exc, (SingularGeometry, GeometryRejection, GaleInfeasible, NotAnEdm,
-                        DegenerateCoefficient)):
+    if isinstance(exc, (SingularGeometry, GeometryRejection, GaleInfeasible, NotAnEdm)):
         return EXIT_INFEASIBLE
     if isinstance(exc, (NoConvergence, PoleEvaluation)):
         return EXIT_NO_CONVERGENCE
@@ -89,10 +85,9 @@ def _cmd_solve(args) -> int:
         print(f"method: {report.method}, iterations: {report.iterations}")
         if report.lambda_star is not None:
             print(f"multiplier: {report.lambda_star:.12e}")
-        if report.q is not None:
-            coords = ", ".join(f"{v:.3f}" for v in report.q)
-            print(f"receiver (m): [{coords}]")
-        if sc.true_receiver is not None and report.q is not None:
+        coords = ", ".join(f"{v:.3f}" for v in report.q)
+        print(f"receiver (m): [{coords}]")
+        if sc.true_receiver is not None:
             err = float(np.linalg.norm(report.q - np.asarray(sc.true_receiver)))
             print(f"position error vs truth: {err:.6f} m")
         if not report.converged:

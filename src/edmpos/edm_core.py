@@ -158,34 +158,28 @@ class EdmClass:
 class EdmBundle:
     """Factorization of one squared-distance matrix, reused by every downstream step.
 
+    With V the orthonormal complement basis of the ones vector, X = -V' D V / 2
+    is the projected Gram matrix and B = V X V' the centered Gram matrix.
+
     Fields:
         D: the (n, n) squared-distance matrix itself.
-        V: orthonormal complement basis of the ones vector, (n, n-1).
-        X: projected Gram matrix -V' D V / 2, (n-1, n-1), PSD of rank r.
-        B: centered Gram matrix V X V', (n, n).
         b: diagonal of B.
         Bdag: Moore-Penrose pseudoinverse of B.
         Z: orthonormal basis of the null space of [P 1]', (n, n-1-r); empty
            when n = r + 1.
         r: embedding dimension (rank of X).
-        W, delta: eigenvectors/eigenvalues of X above the rank cut, descending.
-        U: eigenvectors of X at the rank cut (null block).
-        rank_tol: relative eigenvalue cut used to split (W, delta) from U.
-        P_eigen: centered eigen realization (V W) sqrt(delta), (n, r); its
-            Gram matrix is B.
+        delta: eigenvalues of X above the rank cut, descending.
+        rank_tol: relative eigenvalue cut that splits delta from the null block.
+        P_eigen: centered eigen realization (V W) sqrt(delta), (n, r), with W
+            the eigenvectors of X for delta; its Gram matrix is B.
     """
 
     D: np.ndarray
-    V: np.ndarray
-    X: np.ndarray
-    B: np.ndarray
     b: np.ndarray
     Bdag: np.ndarray
     Z: np.ndarray
     r: int
-    W: np.ndarray
     delta: np.ndarray
-    U: np.ndarray
     rank_tol: float
     P_eigen: np.ndarray
 
@@ -233,28 +227,19 @@ def factor_edm(
     evals = evals[::-1].copy()
     evecs = evecs[:, ::-1]
     r = int(np.count_nonzero(evals > thr))
-    W = evecs[:, :r].copy()
     delta = evals[:r].copy()
-    U = evecs[:, r:].copy()
     B = V @ X @ V.T
     B = 0.5 * (B + B.T)
-    b = np.diag(B).copy()
-    VW = V @ W
+    VW = V @ evecs[:, :r]
     Bdag = (VW / delta) @ VW.T if r else np.zeros((n, n))
     Bdag = 0.5 * (Bdag + Bdag.T)
-    Z = V @ U
     return EdmBundle(
         D=_readonly(D),
-        V=V,
-        X=_readonly(X),
-        B=_readonly(B),
-        b=_readonly(b),
+        b=_readonly(np.diag(B).copy()),
         Bdag=_readonly(Bdag),
-        Z=_readonly(Z),
+        Z=_readonly(V @ evecs[:, r:]),
         r=r,
-        W=_readonly(W),
         delta=_readonly(delta),
-        U=_readonly(U),
         rank_tol=float(rank_tol),
         P_eigen=_readonly(VW * np.sqrt(delta)),
     )
@@ -263,7 +248,8 @@ def factor_edm(
 def eigen_configuration(bundle: EdmBundle) -> np.ndarray:
     """A centered point configuration realizing the bundle's distance matrix.
 
-    Returns the (n, r) matrix V W sqrt(delta): its Gram matrix is exactly B.
+    Returns the (n, r) matrix V W sqrt(delta): its Gram matrix is exactly the
+    centered Gram matrix of the bundle's distance matrix.
     Any other centered realization differs from it by a rotation/reflection.
     """
     return bundle.P_eigen

@@ -24,10 +24,6 @@ class NotAnEdm(EdmPosError):
         self.witness = witness
 
 
-class DegenerateCoefficient(EdmPosError):
-    """Secular equation lost its dominant coefficient; the bracket argument breaks down."""
-
-
 class PoleEvaluation(EdmPosError):
     """Secular function evaluated too close to one of its poles."""
 

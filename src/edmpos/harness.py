@@ -26,10 +26,8 @@ from .consistency import (
     Measurement,
     Verdict,
     clock_bias_estimate,
-    self_consistency_test,
 )
 from .edm_core import (
-    DEFAULT_RANK_TOL,
     DEFAULT_SCALE,
     EdmBundle,
     SatelliteConfig,
@@ -41,13 +39,7 @@ from .edm_core import (
 )
 from .errors import BadShape, GeometryRejection, NegativeSquare
 from .report import SolveReport
-from .solver_general import (
-    DEFAULT_GRAD_TOL,
-    DEFAULT_SECULAR_TOL,
-    nlp_oracle,
-    solve_qcqp,
-    solve_unconstrained,
-)
+from .solver_general import DEFAULT_SECULAR_TOL, nlp_oracle, solve_qcqp, solve_unconstrained
 
 SCENARIO_SCHEMA = "edmpos-scenario/1"
 
@@ -273,25 +265,21 @@ def apply_noise(
 @dataclass(frozen=True)
 class PipelineOptions:
     scale: float = DEFAULT_SCALE
-    rank_tol: float = DEFAULT_RANK_TOL
     kappa_tol: float = DEFAULT_KAPPA_TOL
     secular_tol: float = DEFAULT_SECULAR_TOL
-    grad_tol: float = DEFAULT_GRAD_TOL
-    max_iter: int = 200
     debias: bool = False
 
 
 @lru_cache(maxsize=GEOMETRY_MEMO_SIZE)
 def _factor_geometry(
-    data: bytes, shape: tuple[int, ...], scale: float, rank_tol: float
+    data: bytes, shape: tuple[int, ...], scale: float
 ) -> tuple[SatelliteConfig, EdmBundle]:
     # keyed by the anchors' float64 bytes, so a hit returns exactly what a
     # fresh factorization of the same content would; a geometry that raises
     # is not stored, and every cached array is read-only
     raw = np.frombuffer(data).reshape(shape)
-    config = center_configuration(raw, scale, rank_tol)
-    D = build_edm(config)
-    bundle = factor_edm(D, build_v_basis(config.n), rank_tol)
+    config = center_configuration(raw, scale)
+    bundle = factor_edm(build_edm(config), build_v_basis(config.n))
     return config, bundle
 
 
@@ -300,12 +288,12 @@ def prepare_scenario(
 ) -> tuple[SatelliteConfig, EdmBundle, Measurement]:
     """Center, scale, and factor a scenario; build its measurement.
 
-    The anchor factorization depends only on the anchors, the scale and the
-    rank tolerance; the last GEOMETRY_MEMO_SIZE distinct sets are kept and
-    reused, so repeated anchors cost only the per-measurement work.
+    The anchor factorization depends only on the anchors and the scale; the
+    last GEOMETRY_MEMO_SIZE distinct sets are kept and reused, so repeated
+    anchors cost only the per-measurement work.
     """
     raw = np.asarray(sc.satellites, dtype=float)
-    config, bundle = _factor_geometry(raw.tobytes(), raw.shape, opts.scale, opts.rank_tol)
+    config, bundle = _factor_geometry(raw.tobytes(), raw.shape, opts.scale)
     measurement = Measurement.from_ranges(sc.pseudoranges, opts.scale)
     return config, bundle, measurement
 
@@ -317,18 +305,17 @@ def _dispatch(
     method: str,
     opts: PipelineOptions,
 ) -> SolveReport:
+    if opts.debias and bundle.n == 4 and bundle.r == 3:
+        corrected = dm - clock_bias_estimate(dm, bundle)
+        if np.any(corrected < 0.0):
+            raise NegativeSquare("bias correction drove a squared pseudorange negative")
+        dm = corrected
     if method == "auto":
         method = "secular"
     if method == "secular":
-        return solve_qcqp(
-            dm, bundle, opts.secular_tol,
-            kappa_tol=opts.kappa_tol, config=config, max_iter=opts.max_iter,
-        )
+        return solve_qcqp(dm, bundle, opts.secular_tol, kappa_tol=opts.kappa_tol, config=config)
     if method == "unconstrained":
-        return solve_unconstrained(
-            dm, bundle, opts.grad_tol, opts.max_iter,
-            kappa_tol=opts.kappa_tol, config=config,
-        )
+        return solve_unconstrained(dm, bundle, kappa_tol=opts.kappa_tol, config=config)
     if method == "nlp":
         return nlp_oracle(dm, config, bundle=bundle, kappa_tol=opts.kappa_tol)
     raise BadShape(f"unknown method {method!r}")
@@ -341,14 +328,7 @@ def run_pipeline(
 ) -> SolveReport:
     """Scenario in, SolveReport out: center, factor, test, project, position."""
     config, bundle, measurement = prepare_scenario(sc, opts)
-    dm = measurement.dm
-    if opts.debias and bundle.n == 4 and bundle.r == 3:
-        delta = clock_bias_estimate(dm, bundle)
-        corrected = dm - delta
-        if np.any(corrected < 0.0):
-            raise NegativeSquare("bias correction drove a squared pseudorange negative")
-        dm = corrected
-    report = _dispatch(dm, config, bundle, method, opts)
+    report = _dispatch(measurement.dm, config, bundle, method, opts)
     return replace(report, label=sc.label)
 
 
@@ -479,7 +459,7 @@ def run_batch(spec: BatchSpec, out_path=None) -> BatchStats:
         wall = time.perf_counter() - t0
         wall_all.append(wall)
 
-        oracle = augmented_edm_check(bundle, measurement.dm, opts.rank_tol)
+        oracle = augmented_edm_check(bundle, measurement.dm)
         oracle_faulty = not (oracle.is_edm and oracle.dim == bundle.r)
         kappa_faulty = report.verdict.tag is not Verdict.SELF_CONSISTENT
         if kappa_faulty:
@@ -492,7 +472,7 @@ def run_batch(spec: BatchSpec, out_path=None) -> BatchStats:
         iters_all.append(report.iterations)
 
         pos_err = None
-        if sc.true_receiver is not None and report.q is not None:
+        if sc.true_receiver is not None:
             pos_err = float(np.linalg.norm(report.q - sc.true_receiver))
             errors_all.append(pos_err)
             per_n[n]["errors"].append(pos_err)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,10 +15,10 @@ class SolveReport:
     """What one solve produced and how it got there.
 
     y_star is the feasible squared-range vector (scaled units); q is the
-    recovered receiver in meters when a configuration was available.
-    lambda_star/bracket/secular_residual are populated by the secular paths
-    and left None by the descent and oracle paths.  verdict describes the
-    input measurement, not y_star.
+    recovered receiver in meters and fix the position record it came from,
+    both set by every route.  lambda_star/bracket/secular_residual are
+    populated by the secular paths and left None by the descent and oracle
+    paths.  verdict describes the input measurement, not y_star.
     """
 
     y_star: np.ndarray
@@ -26,12 +26,12 @@ class SolveReport:
     iterations: int
     method: str
     verdict: ConsistencyVerdict
+    q: np.ndarray
+    fix: PositionFix
+    objective: float
     lambda_star: float | None = None
     secular_residual: float | None = None
     bracket: tuple[float, float] | None = None
-    q: np.ndarray | None = None
-    fix: PositionFix | None = None
-    objective: float | None = None
     converged: bool = True
     label: str = ""
 
@@ -47,7 +47,7 @@ class SolveReport:
             "kappa_residual": self.kappa_residual,
             "objective": self.objective,
             "y_star": np.asarray(self.y_star).tolist(),
-            "q_m": np.asarray(self.q).tolist() if self.q is not None else None,
+            "q_m": np.asarray(self.q).tolist(),
             "verdict": self.verdict.to_dict(),
-            "fix": self.fix.to_dict() if self.fix is not None else None,
+            "fix": self.fix.to_dict(),
         }

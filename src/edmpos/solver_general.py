@@ -13,7 +13,7 @@ the quadratic form is diagonal.  Three routes to the same projection:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import least_squares
@@ -24,8 +24,8 @@ from .consistency import (
     kappa,
     self_consistency_test,
 )
-from .edm_core import EdmBundle, SatelliteConfig, build_edm, factor_edm
-from .errors import DegenerateCoefficient, NoConvergence, PoleEvaluation, SingularGeometry
+from .edm_core import EdmBundle, SatelliteConfig
+from .errors import NoConvergence, PoleEvaluation, SingularGeometry
 from .position import recover_position
 from .report import SolveReport
 from .rootfind import find_root_increasing
@@ -127,13 +127,26 @@ def multiplier_bracket(sp: SecularProblemGen) -> tuple[float, float]:
     return (sp.n * sp.kappa_dm / 8.0, 0.0)
 
 
+def _report(y_star, y, bundle: EdmBundle, config: SatelliteConfig, **fields) -> SolveReport:
+    """The tail every route shares: position, residual kappa and objective of y_star."""
+    fix = recover_position(y_star, bundle, config)
+    return SolveReport(
+        y_star=y_star,
+        kappa_residual=kappa(y_star, bundle),
+        q=fix.q_world,
+        fix=fix,
+        objective=float(np.sum((y_star - y) ** 2)),
+        **fields,
+    )
+
+
 def solve_qcqp(
     dm,
     bundle: EdmBundle,
     tol: float = DEFAULT_SECULAR_TOL,
     *,
     kappa_tol: float = DEFAULT_KAPPA_TOL,
-    config: SatelliteConfig | None = None,
+    config: SatelliteConfig,
     max_iter: int = 200,
 ) -> SolveReport:
     """Project a measurement onto the feasible set via the secular equation.
@@ -155,22 +168,10 @@ def solve_qcqp(
         secular_residual = abs(sp.kappa_dm)
     else:
         if sp.degenerate:
-            if config is None:
-                raise DegenerateCoefficient(
-                    "measurement has no component on the smallest eigenvalue group "
-                    "and no configuration was supplied for the oracle fallback"
-                )
-            report = nlp_oracle(y, config, bundle=bundle)
-            return SolveReport(
-                y_star=report.y_star,
-                kappa_residual=report.kappa_residual,
-                iterations=report.iterations,
+            return replace(
+                nlp_oracle(y, config, bundle=bundle),
                 method="nlp-oracle[degenerate-fallback]",
                 verdict=verdict,
-                q=report.q,
-                fix=report.fix,
-                objective=report.objective,
-                converged=report.converged,
             )
         lo, hi = multiplier_bracket(sp)
         result = find_root_increasing(
@@ -195,19 +196,14 @@ def solve_qcqp(
     # 1'(dm - b) = hprime * n / 4
     s = (sp.hprime * sp.n / 4.0 - 2.0 * lam) / sp.n
     y_star = sp.P_eigen @ x + s + bundle.b
-    fix = recover_position(y_star, bundle, config) if config is not None else None
-    return SolveReport(
-        y_star=y_star,
-        kappa_residual=kappa(y_star, bundle),
+    return _report(
+        y_star, y, bundle, config,
         iterations=iterations,
         method="secular-gen",
         verdict=verdict,
         lambda_star=lam,
         secular_residual=secular_residual,
         bracket=bracket,
-        q=fix.q_world if fix is not None else None,
-        fix=fix,
-        objective=float(np.sum((y_star - y) ** 2)),
     )
 
 
@@ -313,7 +309,7 @@ def solve_unconstrained(
     max_iter: int = 200,
     *,
     kappa_tol: float = DEFAULT_KAPPA_TOL,
-    config: SatelliteConfig | None = None,
+    config: SatelliteConfig,
 ) -> SolveReport:
     """Project a measurement by minimizing the substituted quartic directly.
 
@@ -325,16 +321,11 @@ def solve_unconstrained(
     sp = build_secular_general(y, bundle)
     state, iterations, converged = minimize_quartic(sp, tol, max_iter)
     y_star = sp.P_eigen @ state.x + state.s + bundle.b
-    fix = recover_position(y_star, bundle, config) if config is not None else None
-    return SolveReport(
-        y_star=y_star,
-        kappa_residual=kappa(y_star, bundle),
+    return _report(
+        y_star, y, bundle, config,
         iterations=iterations,
         method="unconstrained",
         verdict=verdict,
-        q=fix.q_world if fix is not None else None,
-        fix=fix,
-        objective=float(np.sum((y_star - y) ** 2)),
         converged=converged,
     )
 
@@ -375,7 +366,7 @@ def nlp_oracle(
     tol: float = 1e-15,
     max_iter: int = 100,
     *,
-    bundle: EdmBundle | None = None,
+    bundle: EdmBundle,
     kappa_tol: float = DEFAULT_KAPPA_TOL,
 ) -> SolveReport:
     """Fit a receiver point to the measurement by damped least squares.
@@ -385,8 +376,6 @@ def nlp_oracle(
     minimum wins, ties going to the earliest start.  Serves as the
     independent check on the closed-form routes.
     """
-    if bundle is None:
-        bundle = factor_edm(build_edm(config))
     y = as_vector(dm, config.n)
     verdict = self_consistency_test(y, bundle, kappa_tol)
     P = config.P
@@ -429,16 +418,10 @@ def nlp_oracle(
     q_best = _polish(best[1], P, y)
     diff = P - q_best
     y_star = np.einsum("ij,ij->i", diff, diff)
-    objective = float(np.sum((y_star - y) ** 2))
-    fix = recover_position(y_star, bundle, config)
-    return SolveReport(
-        y_star=y_star,
-        kappa_residual=kappa(y_star, bundle),
+    return _report(
+        y_star, y, bundle, config,
         iterations=total_nfev,
         method="nlp-oracle",
         verdict=verdict,
-        q=fix.q_world,
-        fix=fix,
-        objective=objective,
         converged=any_converged,
     )

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from edmpos.cli import EXIT_INFEASIBLE, EXIT_NO_CONVERGENCE, main
-from edmpos.errors import DegenerateCoefficient, PoleEvaluation
+from edmpos.errors import NotAnEdm, PoleEvaluation
 from edmpos.harness import ConstantBias, Scenario, SingleFault, apply_noise, generate_scenario
 
 
@@ -147,7 +147,7 @@ def test_no_arguments_is_bad_input(capsys):
 @pytest.mark.parametrize(
     "exc, code",
     [(PoleEvaluation("multiplier on a pole"), EXIT_NO_CONVERGENCE),
-     (DegenerateCoefficient("no dominant coefficient"), EXIT_INFEASIBLE)],
+     (NotAnEdm("projected Gram matrix is indefinite"), EXIT_INFEASIBLE)],
 )
 def test_solver_errors_exit_codes(clean_file, monkeypatch, capsys, exc, code):
     path, _ = clean_file

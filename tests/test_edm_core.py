@@ -127,8 +127,10 @@ def test_factor_simplex():
     bundle = factor_edm(SIMPLEX_D)
     assert bundle.r == 3
     assert bundle.Z.shape == (4, 0)
-    assert np.abs(bundle.B @ np.ones(4)).max() <= 1e-12
-    assert np.all(np.linalg.eigvalsh(bundle.X) >= -1e-12)
+    B = gram_from_edm(bundle.D)
+    V = build_v_basis(4)
+    assert np.abs(B @ np.ones(4)).max() <= 1e-12
+    assert np.all(np.linalg.eigvalsh(-0.5 * (V.T @ bundle.D @ V)) >= -1e-12)
 
 
 def test_factor_coplanar_five_points():
@@ -150,7 +152,8 @@ def test_bundle_identities():
     for n in (4, 6, 9):
         config = random_shell_config(rng, n)
         bundle = factor_edm(build_edm(config))
-        B, Bdag, V, X = bundle.B, bundle.Bdag, bundle.V, bundle.X
+        B, Bdag, V = gram_from_edm(bundle.D), bundle.Bdag, build_v_basis(n)
+        X = -0.5 * (V.T @ bundle.D @ V)
         ref = max(np.abs(B).max(), 1.0)
         assert np.abs(B - V @ X @ V.T).max() <= 1e-9 * ref
         assert np.abs(X - V.T @ B @ V).max() <= 1e-9 * ref
@@ -181,7 +184,8 @@ def test_eigen_configuration_realizes_gram():
     config = random_shell_config(rng, 7)
     bundle = factor_edm(build_edm(config))
     Pe = eigen_configuration(bundle)
-    assert np.abs(Pe @ Pe.T - bundle.B).max() <= 1e-10 * max(np.abs(bundle.B).max(), 1.0)
+    B = gram_from_edm(bundle.D)
+    assert np.abs(Pe @ Pe.T - B).max() <= 1e-10 * max(np.abs(B).max(), 1.0)
 
 
 def test_gram_edm_round_trip():

@@ -1,5 +1,6 @@
 """Scenario generation, noise models, pipeline, and the batch driver."""
 
+import csv
 import json
 
 import numpy as np
@@ -238,3 +239,22 @@ def test_batch_timing_column(tmp_path):
     timed_rows = timed.read_text().splitlines()[1:]
     assert all(row.rsplit(",", 1)[1] == "0" for row in quiet_rows)
     assert any(row.rsplit(",", 1)[1] != "0" for row in timed_rows)
+
+
+def test_batch_applies_debias_like_pipeline(tmp_path):
+    """run_batch honours PipelineOptions.debias, row for row as run_pipeline does."""
+    opts = PipelineOptions(debias=True)
+    spec = BatchSpec(count=8, n=4, noise=ConstantBias(2.0e12), seed=5, options=opts)
+    out = tmp_path / "debias.csv"
+    run_batch(spec, out)
+    with out.open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == spec.count
+    for i, row in enumerate(rows):
+        rng = np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=(i,)))
+        sc = generate_scenario(4, rng=rng, label=row["label"])
+        sc = apply_noise(sc, spec.noise, rng=rng)
+        report = run_pipeline(sc, opts=opts)
+        err = float(np.linalg.norm(report.q - sc.true_receiver))
+        assert float(row["pos_err_m"]) == err
+        assert err <= 1e-5
