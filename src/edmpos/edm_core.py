@@ -31,9 +31,10 @@ class SatelliteConfig:
 
     P is (n, r) with column sums ~0.  ``centroid`` stays in meters so a
     recovered position can be translated back: world = centered/scale + centroid.
-    Q, R are the reduced QR factors of P, computed once at construction for
-    every position solve on this geometry; rank_deficient flags an R whose
-    diagonal is numerically singular, which position recovery refuses.
+    P_pinv is the (r, n) position operator R^-1 Q', built once at construction
+    from the reduced QR factors of P, so every position solve on this geometry
+    is one matrix-vector product.  It is None when the diagonal of R is
+    numerically singular; position recovery refuses such a geometry.
     """
 
     P: np.ndarray
@@ -41,17 +42,14 @@ class SatelliteConfig:
     n: int
     r: int
     scale: float
-    Q: np.ndarray = field(init=False, repr=False, compare=False)
-    R: np.ndarray = field(init=False, repr=False, compare=False)
-    rank_deficient: bool = field(init=False, repr=False, compare=False)
+    P_pinv: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         Q, R = np.linalg.qr(self.P)
         rdiag = np.abs(np.diag(R))
         deficient = not rdiag.size or rdiag.min() <= 1e-12 * max(rdiag.max(), 1e-300)
-        object.__setattr__(self, "Q", _readonly(Q))
-        object.__setattr__(self, "R", _readonly(R))
-        object.__setattr__(self, "rank_deficient", bool(deficient))
+        P_pinv = None if deficient else _readonly(np.linalg.solve(R, Q.T))
+        object.__setattr__(self, "P_pinv", P_pinv)
 
 
 def center_configuration(

@@ -298,26 +298,40 @@ def prepare_scenario(
     return config, bundle, measurement
 
 
+def _solver_input(dm, bundle: EdmBundle, opts: PipelineOptions) -> np.ndarray:
+    """The vector the solvers see: dm, less the clock bias when debiasing applies.
+
+    run_batch scores the eigenvalue oracle on this same vector, so the
+    confusion matrix compares it with a verdict on the vector it describes.
+    """
+    if not (opts.debias and bundle.n == 4 and bundle.r == 3):
+        return dm
+    corrected = dm - clock_bias_estimate(dm, bundle)
+    if np.any(corrected < 0.0):
+        raise NegativeSquare("bias correction drove a squared pseudorange negative")
+    return corrected
+
+
 def _dispatch(
     dm,
     config: SatelliteConfig,
     bundle: EdmBundle,
     method: str,
     opts: PipelineOptions,
+    label: str = "",
 ) -> SolveReport:
-    if opts.debias and bundle.n == 4 and bundle.r == 3:
-        corrected = dm - clock_bias_estimate(dm, bundle)
-        if np.any(corrected < 0.0):
-            raise NegativeSquare("bias correction drove a squared pseudorange negative")
-        dm = corrected
     if method == "auto":
         method = "secular"
     if method == "secular":
-        return solve_qcqp(dm, bundle, opts.secular_tol, kappa_tol=opts.kappa_tol, config=config)
+        return solve_qcqp(
+            dm, bundle, opts.secular_tol, kappa_tol=opts.kappa_tol, config=config, label=label
+        )
     if method == "unconstrained":
-        return solve_unconstrained(dm, bundle, kappa_tol=opts.kappa_tol, config=config)
+        return solve_unconstrained(
+            dm, bundle, kappa_tol=opts.kappa_tol, config=config, label=label
+        )
     if method == "nlp":
-        return nlp_oracle(dm, config, bundle=bundle, kappa_tol=opts.kappa_tol)
+        return nlp_oracle(dm, config, bundle=bundle, kappa_tol=opts.kappa_tol, label=label)
     raise BadShape(f"unknown method {method!r}")
 
 
@@ -328,8 +342,8 @@ def run_pipeline(
 ) -> SolveReport:
     """Scenario in, SolveReport out: center, factor, test, project, position."""
     config, bundle, measurement = prepare_scenario(sc, opts)
-    report = _dispatch(measurement.dm, config, bundle, method, opts)
-    return replace(report, label=sc.label)
+    dm = _solver_input(measurement.dm, bundle, opts)
+    return _dispatch(dm, config, bundle, method, opts, sc.label)
 
 
 @dataclass(frozen=True)
@@ -455,11 +469,12 @@ def run_batch(spec: BatchSpec, out_path=None) -> BatchStats:
             sc = apply_noise(sc, model, rng=rng, clamp=spec.clamp)
         t0 = time.perf_counter()
         config, bundle, measurement = prepare_scenario(sc, opts)
-        report = _dispatch(measurement.dm, config, bundle, spec.method, opts)
+        dm = _solver_input(measurement.dm, bundle, opts)
+        report = _dispatch(dm, config, bundle, spec.method, opts)
         wall = time.perf_counter() - t0
         wall_all.append(wall)
 
-        oracle = augmented_edm_check(bundle, measurement.dm)
+        oracle = augmented_edm_check(bundle, dm)
         oracle_faulty = not (oracle.is_edm and oracle.dim == bundle.r)
         kappa_faulty = report.verdict.tag is not Verdict.SELF_CONSISTENT
         if kappa_faulty:

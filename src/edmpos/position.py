@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .consistency import DEFAULT_GALE_TOL, as_vector, gale_residual
 from .edm_core import EdmBundle, SatelliteConfig
@@ -60,7 +59,7 @@ def recover_position(
     [P 1]; for n > r+1 that is checked through the null-space residual and a
     violation raises GaleInfeasible.  Multiplying out the ones-component gives
     |q|^2 = mean(y - b) and the remaining least-squares system is solved
-    through the configuration's QR factors of P.
+    by the configuration's stored position operator R^-1 Q'.
     """
     y = as_vector(y_star, bundle.n)
     if config.n != bundle.n:
@@ -76,9 +75,9 @@ def recover_position(
     # least-squares residual and amplify conditioning error
     zmean = z.mean()
     zc = z - zmean
-    if config.rank_deficient:
+    if config.P_pinv is None:
         raise SingularGeometry("anchor matrix is numerically rank deficient")
-    q = 0.5 * solve_triangular(config.R, config.Q.T @ zc, check_finite=False)
+    q = 0.5 * (config.P_pinv @ zc)
     qtq_identity = float(-zmean)
     q_world = q / config.scale + config.centroid
     return PositionFix(

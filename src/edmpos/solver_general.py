@@ -9,6 +9,15 @@ the quadratic form is diagonal.  Three routes to the same projection:
 * solve_unconstrained: the constraint substituted in, leaving a smooth
   quartic minimized by damped Newton steps;
 * nlp_oracle: direct least-squares fit of a receiver point, multi-started.
+
+The secular functions run on Python floats: build_secular_general stores
+each pole's nu_i, w_i^2 and guard once per measurement, and eval_f and
+eval_f_prime are scalar loops over those r poles.  The root finder evaluates
+them several times per solve on length-r vectors (r = 3 in practice), where
+each numpy call costs far more in dispatch than the arithmetic it does.  The
+loops keep the term order of the numpy array form they replaced, which sums a
+short vector left to right and squares an element as t * t, so eval_f gives
+the same floats.
 """
 
 from __future__ import annotations
@@ -58,6 +67,8 @@ class SecularProblemGen:
     P_eigen: the (n, r) eigenbasis realization used to map x back to y.
     degenerate: True when w has no mass on the smallest eigenvalue group,
     which removes the pole that anchors the positive-side bracket.
+    poles: (nu_i, w_i**2, POLE_GUARD * nu_i) for each pole, as Python floats,
+        which is all eval_f and eval_f_prime read of the arrays.
     """
 
     nu: np.ndarray
@@ -67,10 +78,17 @@ class SecularProblemGen:
     n: int
     P_eigen: np.ndarray
     degenerate: bool
+    poles: tuple[tuple[float, float, float], ...]
 
 
-def build_secular_general(dm, bundle: EdmBundle) -> SecularProblemGen:
-    """Assemble the general secular problem from the measurement and bundle."""
+def build_secular_general(
+    dm, bundle: EdmBundle, kappa_dm: float | None = None
+) -> SecularProblemGen:
+    """Assemble the general secular problem from the measurement and bundle.
+
+    kappa_dm is the measurement's kappa when the caller has computed it
+    already (the consistency verdict does); it is computed here otherwise.
+    """
     y = as_vector(dm, bundle.n)
     if bundle.r == 0:
         raise SingularGeometry("anchor geometry has rank zero")
@@ -81,7 +99,8 @@ def build_secular_general(dm, bundle: EdmBundle) -> SecularProblemGen:
     z = y - bundle.b
     w = P_eigen.T @ z
     hprime = (4.0 / bundle.n) * float(z.sum())
-    kappa_dm = kappa(y, bundle)
+    if kappa_dm is None:
+        kappa_dm = kappa(y, bundle)
     bottom = nu <= nu[-1] * (1.0 + 1e-9)
     bottom_mass = float(np.linalg.norm(w[bottom]))
     # anchor the degeneracy test on the measurement scale |z|, not just |w|:
@@ -97,6 +116,7 @@ def build_secular_general(dm, bundle: EdmBundle) -> SecularProblemGen:
         n=bundle.n,
         P_eigen=P_eigen,
         degenerate=degenerate,
+        poles=tuple(zip(nu.tolist(), (w**2).tolist(), (POLE_GUARD * nu).tolist())),
     )
 
 
@@ -106,18 +126,23 @@ def eval_f(sp: SecularProblemGen, lam: float) -> float:
     Evaluated in a form whose terms all vanish at lam = 0, so f(0) equals
     -kappa_dm exactly in floating point.
     """
-    t = sp.nu - lam
-    if np.any(np.abs(t) < POLE_GUARD * sp.nu):
-        raise PoleEvaluation(f"multiplier {lam} is too close to a pole")
-    terms = sp.w**2 * lam * (2.0 * sp.nu - lam) / (sp.nu**2 * t**2)
-    return float(terms.sum() + (8.0 / sp.n) * lam - sp.kappa_dm)
+    total = 0.0
+    for nu, w2, guard in sp.poles:
+        t = nu - lam
+        if abs(t) < guard:
+            raise PoleEvaluation(f"multiplier {lam} is too close to a pole")
+        total += w2 * lam * (2.0 * nu - lam) / (nu * nu * (t * t))
+    return float(total + (8.0 / sp.n) * lam - sp.kappa_dm)
 
 
 def eval_f_prime(sp: SecularProblemGen, lam: float) -> float:
-    t = sp.nu - lam
-    if np.any(np.abs(t) < POLE_GUARD * sp.nu):
-        raise PoleEvaluation(f"multiplier {lam} is too close to a pole")
-    return float(2.0 * np.sum(sp.w**2 / t**3) + 8.0 / sp.n)
+    total = 0.0
+    for nu, w2, guard in sp.poles:
+        t = nu - lam
+        if abs(t) < guard:
+            raise PoleEvaluation(f"multiplier {lam} is too close to a pole")
+        total += w2 / t**3
+    return float(2.0 * total + 8.0 / sp.n)
 
 
 def multiplier_bracket(sp: SecularProblemGen) -> tuple[float, float]:
@@ -148,6 +173,7 @@ def solve_qcqp(
     kappa_tol: float = DEFAULT_KAPPA_TOL,
     config: SatelliteConfig,
     max_iter: int = 200,
+    label: str = "",
 ) -> SolveReport:
     """Project a measurement onto the feasible set via the secular equation.
 
@@ -158,7 +184,7 @@ def solve_qcqp(
     """
     y = as_vector(dm, bundle.n)
     verdict = self_consistency_test(y, bundle, kappa_tol)
-    sp = build_secular_general(y, bundle)
+    sp = build_secular_general(y, bundle, verdict.kappa)
 
     if abs(sp.kappa_dm) <= verdict.band:
         lam = 0.0
@@ -169,7 +195,7 @@ def solve_qcqp(
     else:
         if sp.degenerate:
             return replace(
-                nlp_oracle(y, config, bundle=bundle),
+                nlp_oracle(y, config, bundle=bundle, label=label),
                 method="nlp-oracle[degenerate-fallback]",
                 verdict=verdict,
             )
@@ -201,6 +227,7 @@ def solve_qcqp(
         iterations=iterations,
         method="secular-gen",
         verdict=verdict,
+        label=label,
         lambda_star=lam,
         secular_residual=secular_residual,
         bracket=bracket,
@@ -310,6 +337,7 @@ def solve_unconstrained(
     *,
     kappa_tol: float = DEFAULT_KAPPA_TOL,
     config: SatelliteConfig,
+    label: str = "",
 ) -> SolveReport:
     """Project a measurement by minimizing the substituted quartic directly.
 
@@ -318,7 +346,7 @@ def solve_unconstrained(
     """
     y = as_vector(dm, bundle.n)
     verdict = self_consistency_test(y, bundle, kappa_tol)
-    sp = build_secular_general(y, bundle)
+    sp = build_secular_general(y, bundle, verdict.kappa)
     state, iterations, converged = minimize_quartic(sp, tol, max_iter)
     y_star = sp.P_eigen @ state.x + state.s + bundle.b
     return _report(
@@ -326,6 +354,7 @@ def solve_unconstrained(
         iterations=iterations,
         method="unconstrained",
         verdict=verdict,
+        label=label,
         converged=converged,
     )
 
@@ -368,6 +397,7 @@ def nlp_oracle(
     *,
     bundle: EdmBundle,
     kappa_tol: float = DEFAULT_KAPPA_TOL,
+    label: str = "",
 ) -> SolveReport:
     """Fit a receiver point to the measurement by damped least squares.
 
@@ -423,5 +453,6 @@ def nlp_oracle(
         iterations=total_nfev,
         method="nlp-oracle",
         verdict=verdict,
+        label=label,
         converged=any_converged,
     )

@@ -59,7 +59,7 @@ def test_cached_geometry_is_shared_and_read_only():
     config, bundle, _ = prepare_scenario(sc)
     again, bundle_again, _ = prepare_scenario(sc)
     assert again is config and bundle_again is bundle
-    arrays = [config.P, config.Q, config.R, config.centroid, bundle.D, bundle.b,
+    arrays = [config.P, config.P_pinv, config.centroid, bundle.D, bundle.b,
               bundle.Bdag, bundle.Z, bundle.P_eigen]
     assert not any(a.flags.writeable for a in arrays)
 

@@ -153,6 +153,24 @@ def test_pipeline_clean_minimal_constellation():
     assert np.linalg.norm(report.q - sc.true_receiver) <= 1e-6
 
 
+@pytest.mark.parametrize("method", ["secular", "unconstrained", "nlp"])
+def test_pipeline_report_carries_scenario_label(method):
+    sc = apply_noise(generate_scenario(6, seed=33, label="epoch-7"), GaussianSq(2.0), seed=3)
+    assert run_pipeline(sc, method=method).label == "epoch-7"
+
+
+def test_degenerate_fallback_report_carries_scenario_label():
+    sc = generate_scenario(6, seed=35)
+    opts = PipelineOptions()
+    _, bundle, _ = prepare_scenario(sc, opts)
+    # a pure offset on the centroid's squared ranges has no geometric component
+    offset = Scenario(label="offset", dim=3, satellites=sc.satellites,
+                      pseudoranges=np.sqrt(bundle.b + 0.5) / opts.scale)
+    report = run_pipeline(offset, opts=opts)
+    assert report.method == "nlp-oracle[degenerate-fallback]"
+    assert report.label == "offset"
+
+
 def test_pipeline_constant_bias_projects_clean():
     sc = generate_scenario(6, seed=37)
     biased = apply_noise(sc, ConstantBias(1.0e10))
@@ -258,3 +276,12 @@ def test_batch_applies_debias_like_pipeline(tmp_path):
         err = float(np.linalg.norm(report.q - sc.true_receiver))
         assert float(row["pos_err_m"]) == err
         assert err <= 1e-5
+
+
+def test_batch_scores_the_debiased_vector():
+    """The eigenvalue oracle sees the vector the verdict saw: a removed bias is no miss."""
+    opts = PipelineOptions(debias=True)
+    spec = BatchSpec(count=40, n=4, noise=ConstantBias(2.0e12), seed=5, options=opts)
+    conf = run_batch(spec).confusion
+    assert conf["fn"] == 0
+    assert conf["tn"] + conf["fp"] == spec.count

@@ -5,6 +5,7 @@ import pytest
 
 from edmpos.edm_core import SatelliteConfig, build_edm, center_configuration, factor_edm
 from edmpos.errors import BadShape, GaleInfeasible, SingularGeometry
+from edmpos.harness import GaussianSq, apply_noise, generate_scenario, prepare_scenario
 from edmpos.position import recover_position, verify_fix
 from edmpos.solver_general import solve_qcqp
 
@@ -158,3 +159,45 @@ def test_verify_fix_reports_noise_scale():
         values.append(check.rms_range_m)
     rms = float(np.mean(values))
     assert 0.05 * sigma_m <= rms <= 5.0 * sigma_m
+
+
+def lstsq_position(y, bundle, config):
+    """World position from the demeaned system 2 P q = b - y - mean(b - y), by np.linalg.lstsq."""
+    z = bundle.b - y
+    q = 0.5 * np.linalg.lstsq(config.P, z - z.mean(), rcond=None)[0]
+    return q / config.scale + config.centroid
+
+
+def test_stored_operator_matches_lstsq_up_to_cond_1e5():
+    """recover_position's stored R^-1 Q' against a least-squares reference.
+
+    Geometries come from generate_scenario (normal-matrix condition number up
+    to 1e5); the four-anchor draws are screened for cond > 1e4 to reach the
+    ill-conditioned end.  Allowed error: 16 sqrt(cond) eps max|p| in meters,
+    the round-off the geometry amplifies.
+    """
+    cases = [(n, seed) for n in (4, 5, 6, 12) for seed in range(25)]
+    ill = []
+    for seed in range(2000):
+        sc = generate_scenario(4, seed=10_000 + seed)
+        s = np.linalg.svd(sc.satellites - sc.satellites.mean(axis=0), compute_uv=False)
+        if (s[0] / s[-1]) ** 2 > 1e4:
+            ill.append((4, 10_000 + seed))
+    assert len(ill) >= 20
+    worst_cond = 0.0
+    for n, seed in cases + ill:
+        sc = generate_scenario(n, seed=seed)
+        sats = sc.satellites
+        s = np.linalg.svd(sats - sats.mean(axis=0), compute_uv=False)
+        cond = (s[0] / s[-1]) ** 2
+        worst_cond = max(worst_cond, cond)
+        tol = 16.0 * np.sqrt(cond) * np.finfo(float).eps * float(np.abs(sats).max())
+        config, bundle, meas = prepare_scenario(sc)
+        fix = recover_position(meas.dm, bundle, config)
+        assert np.abs(fix.q_world - lstsq_position(meas.dm, bundle, config)).max() <= tol
+        noisy = apply_noise(sc, GaussianSq(2.0), seed=seed)
+        _, _, meas = prepare_scenario(noisy)
+        report = solve_qcqp(meas.dm, bundle, config=config)
+        ref = lstsq_position(report.y_star, bundle, config)
+        assert np.abs(report.fix.q_world - ref).max() <= tol
+    assert worst_cond > 5e4

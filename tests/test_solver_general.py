@@ -13,8 +13,16 @@ from edmpos.edm_core import (
     factor_edm,
 )
 from edmpos.errors import PoleEvaluation, SingularGeometry
+from edmpos.harness import (
+    GaussianSq,
+    SingleFault,
+    apply_noise,
+    generate_scenario,
+    prepare_scenario,
+)
 from edmpos.position import recover_position
 from edmpos.solver_general import (
+    POLE_GUARD,
     _quartic_pieces,
     build_secular_general,
     eval_f,
@@ -50,6 +58,86 @@ def eval_f_raw(sp, lam):
     """Secular function in its unreduced pole-sum form, the reference for eval_f."""
     t = sp.nu - lam
     return float(np.sum(sp.w**2 / t**2) + (8.0 / sp.n) * lam - sp.hprime)
+
+
+def eval_f_array(sp, lam):
+    """The numpy array form eval_f replaced: one expression over every pole at once."""
+    t = sp.nu - lam
+    if np.any(np.abs(t) < POLE_GUARD * sp.nu):
+        raise PoleEvaluation(f"multiplier {lam} is too close to a pole")
+    terms = sp.w**2 * lam * (2.0 * sp.nu - lam) / (sp.nu**2 * t**2)
+    return float(terms.sum() + (8.0 / sp.n) * lam - sp.kappa_dm)
+
+
+def eval_f_prime_array(sp, lam):
+    """The numpy array form eval_f_prime replaced."""
+    t = sp.nu - lam
+    if np.any(np.abs(t) < POLE_GUARD * sp.nu):
+        raise PoleEvaluation(f"multiplier {lam} is too close to a pole")
+    return float(2.0 * np.sum(sp.w**2 / t**3) + 8.0 / sp.n)
+
+
+def scalar_kernel_instances():
+    """Secular problems on generated geometries: r = 3 at n in {4, 5, 6, 12}, r = 2 at n in {3, 4, 6}.
+
+    Measurements alternate 2 m Gaussian noise and a +-5e9 m^2 single fault,
+    so both brackets (kappa < 0 and kappa > 0) are reached.
+    """
+    cases = [(n, 3, 80) for n in (4, 5, 6, 12)] + [(n, 2, 30) for n in (3, 4, 6)]
+    for n, r, count in cases:
+        for i in range(count):
+            rng = np.random.default_rng(np.random.SeedSequence(4242, spawn_key=(n, r, i)))
+            sc = generate_scenario(n, r, rng=rng)
+            if i % 2:
+                sign = 1.0 if i % 4 == 1 else -1.0
+                model = SingleFault(int(rng.integers(n)), sign * 5e9)
+            else:
+                model = GaussianSq(2.0)
+            sc = apply_noise(sc, model, rng=rng, clamp=True)
+            _, bundle, meas = prepare_scenario(sc)
+            yield build_secular_general(meas.dm, bundle)
+
+
+def test_scalar_kernel_matches_array_and_pole_sum_forms():
+    """eval_f and eval_f_prime against the array form and the unreduced pole sum.
+
+    Probes span the bracket, sit at 0, and sit 1e-12 * nu below the nearest
+    pole, where the root finder's first probe lands when kappa > 0.
+    """
+    checked = 0
+    for sp in scalar_kernel_instances():
+        assert len(sp.poles) == len(sp.nu)
+        lo, hi = multiplier_bracket(sp)
+        probes = [lo + f * (hi - lo) for f in (1e-12, 1e-6, 0.1, 0.5, 0.9, 1.0 - 1e-6)]
+        probes += [0.0, float(sp.nu[-1]) * (1.0 - 1e-12), float(hi) - 1e-12 * float(sp.nu[-1])]
+        for lam in probes:
+            lam = float(lam)
+            f = eval_f(sp, lam)
+            assert f == pytest.approx(eval_f_array(sp, lam), rel=1e-12, abs=0.0)
+            assert eval_f_prime(sp, lam) == pytest.approx(
+                eval_f_prime_array(sp, lam), rel=1e-12, abs=0.0
+            )
+            t = sp.nu - lam
+            scale = float(np.sum(sp.w**2 / t**2)) + abs(8.0 / sp.n * lam) + abs(sp.hprime)
+            assert abs(f - eval_f_raw(sp, lam)) <= 1e-12 * scale
+        checked += 1
+    assert checked >= 300
+
+
+def test_scalar_pole_guard_boundary():
+    """The guard raises inside POLE_GUARD * nu of the nearest pole and not outside it."""
+    for k, sp in enumerate(scalar_kernel_instances()):
+        if k % 7:
+            continue
+        pole = float(sp.nu[-1])
+        for fun, ref in ((eval_f, eval_f_array), (eval_f_prime, eval_f_prime_array)):
+            for lam in (pole * (1.0 - 0.5e-14), pole, pole * (1.0 + 0.5e-14)):
+                with pytest.raises(PoleEvaluation):
+                    fun(sp, lam)
+                with pytest.raises(PoleEvaluation):
+                    ref(sp, lam)
+            lam = pole * (1.0 - 2e-14)
+            assert fun(sp, lam) == pytest.approx(ref(sp, lam), rel=1e-12, abs=0.0)
 
 
 def faulty_measurement(rng, config, bundle, scale=0.2):
