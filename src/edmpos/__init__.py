@@ -25,7 +25,6 @@ from .edm_core import (
     center_configuration,
     classify_edm,
     edm_from_gram,
-    eigen_configuration,
     factor_edm,
     gram_from_edm,
 )
@@ -106,7 +105,6 @@ __all__ = [
     "classify_n4",
     "clock_bias_estimate",
     "edm_from_gram",
-    "eigen_configuration",
     "eval_f",
     "factor_edm",
     "generate_scenario",

@@ -1,4 +1,4 @@
-"""Command-line interface: check, solve, simulate, bench.
+"""Command-line interface: check, solve, simulate.
 
 Exit codes: 0 success, 2 measurement fault detected, 3 infeasible geometry,
 4 no convergence, 64 bad input.
@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 
 import numpy as np
 
@@ -133,23 +132,6 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _cmd_bench(args) -> int:
-    spec = BatchSpec(
-        count=args.count,
-        n=args.n,
-        seed=args.seed,
-        options=PipelineOptions(scale=args.scale),
-    )
-    t0 = time.perf_counter()
-    stats = run_batch(spec, None)
-    elapsed = time.perf_counter() - t0
-    print(f"instances: {args.count}")
-    print(f"total wall time: {elapsed:.3f} s")
-    print(f"per solve (pipeline only): {stats.wall_us_per_solve:.1f} us")
-    print(f"mean iterations: {stats.mean_iterations:.2f}")
-    return EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="edmpos",
@@ -200,13 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="record real per-row wall time (breaks byte-identical reruns)")
     common(p_sim)
     p_sim.set_defaults(func=_cmd_simulate)
-
-    p_bench = sub.add_parser("bench", help="timing run, no files written")
-    p_bench.add_argument("--count", type=int, default=10000)
-    p_bench.add_argument("--n", type=int, default=6)
-    p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--scale", type=float, default=1e-7)
-    p_bench.set_defaults(func=_cmd_bench)
 
     return parser
 

@@ -5,12 +5,23 @@ exactly on squared-distance vectors that extend the anchor geometry without
 raising its dimension.  Its sign separates the two failure modes: positive
 means the extension needs one extra dimension, negative means it is not a
 distance matrix at all.
+
+Every quantity here is read off one product with the bundle's measurement
+operator E (see EdmBundle): for z = y - b, E z stacks w = P_eigen' z, the
+Gale coordinates Z' z and 1'z.  Because Bdag = P_eigen diag(1/delta^2)
+P_eigen', the quadratic form is sum_i w_i^2 / delta_i^2, so kappa needs no
+n x n pseudoinverse, and the Gale residual is max|Z'z| from the same product.
+eigen_coordinates returns those numbers once per vector; kappa and
+self_consistency_test for an arbitrary vector, and the solvers for the
+measurement and for their feasible vector, all read them from it.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -89,35 +100,67 @@ class ConsistencyVerdict:
         }
 
 
-def _kappa_of_diff(z: np.ndarray, bundle: EdmBundle) -> float:
-    return float((4.0 / bundle.n) * z.sum() - z @ (bundle.Bdag @ z))
+class EigenCoordinates(NamedTuple):
+    """A difference z = y - b read through the bundle's measurement operator.
 
-
-def kappa(y, bundle: EdmBundle) -> float:
-    """Inconsistency functional of a squared-range vector against the anchor bundle."""
-    return _kappa_of_diff(as_vector(y, bundle.n) - bundle.b, bundle)
-
-
-def gale_residual(z: np.ndarray, bundle: EdmBundle) -> float:
-    """Relative null-space residual of a difference z = +-(y - b).
-
-    max|Z'z| over |z|, with |z| floored at GALE_NORM_FLOOR * |b|.  Shared by
-    the consistency verdict and position recovery so the two agree on which
-    vectors are realizable.  Zero when n = r + 1 leaves no null directions.
+    w holds P_eigen' z (r entries) and total 1'z, both from the one product
+    E z; norm is |z|.  kappa and gale_residual are the verdict's two numbers
+    for this z.
     """
-    if bundle.Z.shape[1] == 0:
+
+    z: np.ndarray
+    w: list[float]
+    total: float
+    norm: float
+    kappa: float
+    gale_residual: float
+
+
+def _gale_of(null_coords: list[float], norm: float, bundle: EdmBundle) -> float:
+    if not null_coords:
         return 0.0
     # floor the normalization at a fraction of |b|: when y lands on b (a
     # receiver at the anchor centroid) the difference is pure round-off and a
     # z-relative residual would read structural infeasibility into noise
-    ref = max(float(np.linalg.norm(z)), GALE_NORM_FLOOR * float(np.linalg.norm(bundle.b)))
-    return float(np.abs(bundle.Z.T @ z).max()) / ref if ref > 0.0 else 0.0
+    ref = max(norm, GALE_NORM_FLOOR * bundle.b_norm)
+    return max(map(abs, null_coords)) / ref if ref > 0.0 else 0.0
+
+
+def eigen_coordinates(vec: np.ndarray, bundle: EdmBundle) -> EigenCoordinates:
+    """Coordinates of z = vec - b from one product with bundle.E.
+
+    vec must already be a float vector of length bundle.n (see as_vector).
+    """
+    z = vec - bundle.b
+    c = (bundle.E @ z).tolist()
+    r = bundle.r
+    w = c[:r]
+    quad = 0.0
+    for wi, d2 in zip(w, bundle.delta_sq):
+        quad += wi * wi / d2
+    total = c[-1]
+    # sqrt(z @ z) is what np.linalg.norm computes for a vector, bit for bit
+    norm = math.sqrt(z @ z)
+    return EigenCoordinates(
+        z=z,
+        w=w,
+        total=total,
+        norm=norm,
+        kappa=(4.0 / bundle.n) * total - quad,
+        gale_residual=_gale_of(c[r:-1], norm, bundle),
+    )
+
+
+def kappa(y, bundle: EdmBundle) -> float:
+    """Inconsistency functional of a squared-range vector against the anchor bundle."""
+    return eigen_coordinates(as_vector(y, bundle.n), bundle).kappa
 
 
 def kappa_band(y, tol: float = DEFAULT_KAPPA_TOL) -> float:
     """Absolute tolerance band for kappa, relative to the measurement magnitude."""
     vec = as_vector(y)
-    return tol * max(1.0, float(np.abs(vec).mean()))
+    # the sum over n is the float np.mean computes, without its dispatch layers
+    return tol * max(1.0, float(np.add.reduce(np.abs(vec))) / vec.shape[0])
 
 
 def _tag_by_sign(k: float, band: float) -> Verdict:
@@ -158,10 +201,19 @@ def self_consistency_test(
     the sign of kappa within its tolerance band.
     """
     vec = as_vector(y, bundle.n)
-    z = vec - bundle.b
-    k = _kappa_of_diff(z, bundle)
+    return verdict_of(vec, eigen_coordinates(vec, bundle), tol, gale_tol)
+
+
+def verdict_of(
+    vec: np.ndarray,
+    coords: EigenCoordinates,
+    tol: float = DEFAULT_KAPPA_TOL,
+    gale_tol: float = DEFAULT_GALE_TOL,
+) -> ConsistencyVerdict:
+    """The verdict on vec from its already computed eigen coordinates."""
+    k = coords.kappa
     band = kappa_band(vec, tol)
-    gale_res = gale_residual(z, bundle)
+    gale_res = coords.gale_residual
     if gale_res > gale_tol:
         return ConsistencyVerdict(
             kappa=k,

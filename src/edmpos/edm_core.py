@@ -162,7 +162,6 @@ class EdmBundle:
     Fields:
         D: the (n, n) squared-distance matrix itself.
         b: diagonal of B.
-        Bdag: Moore-Penrose pseudoinverse of B.
         Z: orthonormal basis of the null space of [P 1]', (n, n-1-r); empty
            when n = r + 1.
         r: embedding dimension (rank of X).
@@ -170,16 +169,26 @@ class EdmBundle:
         rank_tol: relative eigenvalue cut that splits delta from the null block.
         P_eigen: centered eigen realization (V W) sqrt(delta), (n, r), with W
             the eigenvectors of X for delta; its Gram matrix is B.
+        E: the (n, n) measurement operator [P_eigen'; Z'; 1'].  The columns
+            of P_eigen / sqrt(delta), Z and 1 / sqrt(n) form an orthonormal
+            basis, so for a difference z = y - b the single product E z holds
+            every number the consistency test, the secular equation and the
+            position read: w = P_eigen' z, the Gale coordinates Z' z and 1'z.
+        delta_sq: delta**2 as Python floats, the weights of the pseudoinverse
+            quadratic form z' B^+ z = sum_i w_i**2 / delta_i**2.
+        b_norm: |b|, the floor reference of the Gale residual.
     """
 
     D: np.ndarray
     b: np.ndarray
-    Bdag: np.ndarray
     Z: np.ndarray
     r: int
     delta: np.ndarray
     rank_tol: float
     P_eigen: np.ndarray
+    E: np.ndarray
+    delta_sq: tuple[float, ...]
+    b_norm: float
 
     @property
     def n(self) -> int:
@@ -228,29 +237,21 @@ def factor_edm(
     delta = evals[:r].copy()
     B = V @ X @ V.T
     B = 0.5 * (B + B.T)
-    VW = V @ evecs[:, :r]
-    Bdag = (VW / delta) @ VW.T if r else np.zeros((n, n))
-    Bdag = 0.5 * (Bdag + Bdag.T)
+    b = np.diag(B).copy()
+    P_eigen = (V @ evecs[:, :r]) * np.sqrt(delta)
+    Z = V @ evecs[:, r:]
     return EdmBundle(
         D=_readonly(D),
-        b=_readonly(np.diag(B).copy()),
-        Bdag=_readonly(Bdag),
-        Z=_readonly(V @ evecs[:, r:]),
+        b=_readonly(b),
+        Z=_readonly(Z),
         r=r,
         delta=_readonly(delta),
         rank_tol=float(rank_tol),
-        P_eigen=_readonly(VW * np.sqrt(delta)),
+        P_eigen=_readonly(P_eigen),
+        E=_readonly(np.vstack([P_eigen.T, Z.T, np.ones((1, n))])),
+        delta_sq=tuple(d * d for d in delta.tolist()),
+        b_norm=float(np.linalg.norm(b)),
     )
-
-
-def eigen_configuration(bundle: EdmBundle) -> np.ndarray:
-    """A centered point configuration realizing the bundle's distance matrix.
-
-    Returns the (n, r) matrix V W sqrt(delta): its Gram matrix is exactly the
-    centered Gram matrix of the bundle's distance matrix.
-    Any other centered realization differs from it by a rotation/reflection.
-    """
-    return bundle.P_eigen
 
 
 def _classify_eigs(evals: np.ndarray, rank_tol: float) -> EdmClass:

@@ -1,4 +1,15 @@
-"""Closed-form receiver position recovery from a feasible squared-range vector."""
+"""Closed-form receiver position recovery from a feasible squared-range vector.
+
+A receiver q realizes y_i = |p_i - q|^2, so y - b = -2 P q + |q|^2 1 with P
+the centred anchors and b their squared norms.  The centred part u of y - b
+is therefore -2 P q, and q = -P_pinv u / 2 with P_pinv the anchor
+configuration's stored position operator.  The Gale residual that decides
+whether y is realizable at all, and the offset 1'(y - b) = n |q|^2 behind the
+|q|^2 cross-check, come from the bundle's measurement operator
+(consistency.eigen_coordinates).  recover_position does this for an arbitrary
+vector; the solvers' shared tail calls position_from_coordinates with the
+coordinates it has already read for its y_star.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .consistency import DEFAULT_GALE_TOL, as_vector, gale_residual
+from .consistency import DEFAULT_GALE_TOL, EigenCoordinates, as_vector, eigen_coordinates
 from .edm_core import EdmBundle, SatelliteConfig
 from .errors import BadShape, GaleInfeasible, SingularGeometry
 
@@ -62,29 +73,40 @@ def recover_position(
     by the configuration's stored position operator R^-1 Q'.
     """
     y = as_vector(y_star, bundle.n)
+    return position_from_coordinates(eigen_coordinates(y, bundle), bundle, config, gale_tol=gale_tol)
+
+
+def position_from_coordinates(
+    coords: EigenCoordinates,
+    bundle: EdmBundle,
+    config: SatelliteConfig,
+    gale_tol: float = DEFAULT_GALE_TOL,
+) -> PositionFix:
+    """Receiver from the coordinates of y - b.
+
+    Raises BadShape, GaleInfeasible and SingularGeometry as recover_position
+    documents; q = -P_pinv u / 2 with u the centred part of y - b, and |q|^2
+    is read off as 1'(y - b) / n.
+    """
     if config.n != bundle.n:
         raise BadShape(f"configuration has {config.n} anchors, bundle has {bundle.n}")
-    z = bundle.b - y
-    gale_res = gale_residual(z, bundle)
+    gale_res = coords.gale_residual
     if gale_res > gale_tol:
         raise GaleInfeasible(
             f"relative null-space residual {gale_res:.3e} exceeds {gale_tol:.1e}; "
             "no point realizes this squared-range vector"
         )
-    # demean first: the |q|^2 * 1 component would otherwise sit in the
-    # least-squares residual and amplify conditioning error
-    zmean = z.mean()
-    zc = z - zmean
     if config.P_pinv is None:
         raise SingularGeometry("anchor matrix is numerically rank deficient")
-    q = 0.5 * (config.P_pinv @ zc)
-    qtq_identity = float(-zmean)
-    q_world = q / config.scale + config.centroid
+    # demean first: the |q|^2 * 1 component would otherwise sit in the
+    # least-squares residual and amplify conditioning error
+    u = coords.z - coords.total / bundle.n
+    q = -0.5 * (config.P_pinv @ u)
     return PositionFix(
         q_centered=q,
-        q_world=q_world,
+        q_world=q / config.scale + config.centroid,
         qtq_direct=float(q @ q),
-        qtq_identity=qtq_identity,
+        qtq_identity=coords.total / bundle.n,
         gale_feasible=True,
         gale_residual=gale_res,
     )

@@ -10,8 +10,19 @@ the quadratic form is diagonal.  Three routes to the same projection:
   quartic minimized by damped Newton steps;
 * nlp_oracle: direct least-squares fit of a receiver point, multi-started.
 
-The secular functions run on Python floats: build_secular_general stores
-each pole's nu_i, w_i^2 and guard once per measurement, and eval_f and
+Each measurement is read once through the bundle's measurement operator E
+(consistency.eigen_coordinates): z = y - b goes in, and w = P_eigen' z, the
+Gale coordinates Z' z and 1'z come out of one matrix-vector product.  The
+verdict, the degeneracy test and the secular data are all built from those
+numbers.  The closed-form routes then end in closed form too: with the
+coordinates x and offset s of the projection, y_star = P_eigen x + s + b.
+One more product with E on the float y_star - b gives the reported
+kappa_residual, the Gale residual of the y_star actually returned, which is
+checked exactly as position.recover_position checks it, and the offset
+1'(y_star - b) that centres y_star - b for the receiver q = -P_pinv u / 2.
+
+The secular functions run on Python floats: the secular problem stores each
+pole's nu_i, w_i^2 and guard once per measurement, and eval_f and
 eval_f_prime are scalar loops over those r poles.  The root finder evaluates
 them several times per solve on length-r vectors (r = 3 in practice), where
 each numpy call costs far more in dispatch than the arithmetic it does.  The
@@ -22,6 +33,7 @@ the same floats.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -29,13 +41,15 @@ from scipy.optimize import least_squares
 
 from .consistency import (
     DEFAULT_KAPPA_TOL,
+    EigenCoordinates,
     as_vector,
-    kappa,
+    eigen_coordinates,
     self_consistency_test,
+    verdict_of,
 )
 from .edm_core import EdmBundle, SatelliteConfig
 from .errors import NoConvergence, PoleEvaluation, SingularGeometry
-from .position import recover_position
+from .position import position_from_coordinates
 from .report import SolveReport
 from .rootfind import find_root_increasing
 
@@ -64,7 +78,6 @@ class SecularProblemGen:
     hprime: linear level (4/n) 1'(dm - b).
     kappa_dm: inconsistency of the measurement.
     n: anchor count.
-    P_eigen: the (n, r) eigenbasis realization used to map x back to y.
     degenerate: True when w has no mass on the smallest eigenvalue group,
     which removes the pole that anchors the positive-side bracket.
     poles: (nu_i, w_i**2, POLE_GUARD * nu_i) for each pole, as Python floats,
@@ -76,47 +89,44 @@ class SecularProblemGen:
     hprime: float
     kappa_dm: float
     n: int
-    P_eigen: np.ndarray
     degenerate: bool
     poles: tuple[tuple[float, float, float], ...]
 
 
-def build_secular_general(
-    dm, bundle: EdmBundle, kappa_dm: float | None = None
-) -> SecularProblemGen:
-    """Assemble the general secular problem from the measurement and bundle.
+def build_secular_general(dm, bundle: EdmBundle) -> SecularProblemGen:
+    """Assemble the general secular problem from the measurement and bundle."""
+    return _secular_problem(eigen_coordinates(as_vector(dm, bundle.n), bundle), bundle)
 
-    kappa_dm is the measurement's kappa when the caller has computed it
-    already (the consistency verdict does); it is computed here otherwise.
-    """
-    y = as_vector(dm, bundle.n)
+
+def _secular_problem(coords: EigenCoordinates, bundle: EdmBundle) -> SecularProblemGen:
     if bundle.r == 0:
         raise SingularGeometry("anchor geometry has rank zero")
-    nu = bundle.delta.copy()
+    nu = bundle.delta
     if nu[-1] <= bundle.rank_tol * nu[0]:
         raise SingularGeometry("quadratic form is numerically singular")
-    P_eigen = bundle.P_eigen
-    z = y - bundle.b
-    w = P_eigen.T @ z
-    hprime = (4.0 / bundle.n) * float(z.sum())
-    if kappa_dm is None:
-        kappa_dm = kappa(y, bundle)
-    bottom = nu <= nu[-1] * (1.0 + 1e-9)
-    bottom_mass = float(np.linalg.norm(w[bottom]))
+    nus = nu.tolist()
+    bottom_edge = nus[-1] * (1.0 + 1e-9)
+    mass = bottom_mass = 0.0
+    poles = []
+    for nui, wi in zip(nus, coords.w):
+        w2 = wi * wi
+        mass += w2
+        if nui <= bottom_edge:
+            bottom_mass += w2
+        poles.append((nui, w2, POLE_GUARD * nui))
     # anchor the degeneracy test on the measurement scale |z|, not just |w|:
     # when z lies entirely in the null space plus offset directions, w is pure
     # round-off and a w-relative test would miss it
-    ref = max(float(np.linalg.norm(w)), float(np.linalg.norm(z)))
-    degenerate = bottom_mass <= DEGENERACY_RTOL * ref
+    ref = max(math.sqrt(mass), coords.norm)
+    n = bundle.n
     return SecularProblemGen(
         nu=nu,
-        w=w,
-        hprime=hprime,
-        kappa_dm=kappa_dm,
-        n=bundle.n,
-        P_eigen=P_eigen,
-        degenerate=degenerate,
-        poles=tuple(zip(nu.tolist(), (w**2).tolist(), (POLE_GUARD * nu).tolist())),
+        w=np.array(coords.w),
+        hprime=(4.0 / n) * coords.total,
+        kappa_dm=coords.kappa,
+        n=n,
+        degenerate=math.sqrt(bottom_mass) <= DEGENERACY_RTOL * ref,
+        poles=tuple(poles),
     )
 
 
@@ -153,14 +163,21 @@ def multiplier_bracket(sp: SecularProblemGen) -> tuple[float, float]:
 
 
 def _report(y_star, y, bundle: EdmBundle, config: SatelliteConfig, **fields) -> SolveReport:
-    """The tail every route shares: position, residual kappa and objective of y_star."""
-    fix = recover_position(y_star, bundle, config)
+    """The tail every route shares: position, residual kappa and objective of y_star.
+
+    One product with E on y_star - b gives its kappa, its Gale residual and
+    the offset that centres it for the receiver.
+    """
+    coords = eigen_coordinates(y_star, bundle)
+    fix = position_from_coordinates(coords, bundle, config)
+    d = y_star - y
     return SolveReport(
         y_star=y_star,
-        kappa_residual=kappa(y_star, bundle),
+        kappa_residual=coords.kappa,
         q=fix.q_world,
         fix=fix,
-        objective=float(np.sum((y_star - y) ** 2)),
+        # the float np.sum(d**2) gives, without its dispatch layers
+        objective=float(np.add.reduce(d * d)),
         **fields,
     )
 
@@ -183,8 +200,9 @@ def solve_qcqp(
     the kappa band skips root finding and uses multiplier zero directly.
     """
     y = as_vector(dm, bundle.n)
-    verdict = self_consistency_test(y, bundle, kappa_tol)
-    sp = build_secular_general(y, bundle, verdict.kappa)
+    coords = eigen_coordinates(y, bundle)
+    verdict = verdict_of(y, coords, kappa_tol)
+    sp = _secular_problem(coords, bundle)
 
     if abs(sp.kappa_dm) <= verdict.band:
         lam = 0.0
@@ -221,9 +239,8 @@ def solve_qcqp(
     x = sp.w / (sp.nu - lam)
     # 1'(dm - b) = hprime * n / 4
     s = (sp.hprime * sp.n / 4.0 - 2.0 * lam) / sp.n
-    y_star = sp.P_eigen @ x + s + bundle.b
     return _report(
-        y_star, y, bundle, config,
+        bundle.P_eigen @ x + s + bundle.b, y, bundle, config,
         iterations=iterations,
         method="secular-gen",
         verdict=verdict,
@@ -345,12 +362,11 @@ def solve_unconstrained(
     descent stalls the best iterate is still reported, flagged unconverged.
     """
     y = as_vector(dm, bundle.n)
-    verdict = self_consistency_test(y, bundle, kappa_tol)
-    sp = build_secular_general(y, bundle, verdict.kappa)
-    state, iterations, converged = minimize_quartic(sp, tol, max_iter)
-    y_star = sp.P_eigen @ state.x + state.s + bundle.b
+    coords = eigen_coordinates(y, bundle)
+    verdict = verdict_of(y, coords, kappa_tol)
+    state, iterations, converged = minimize_quartic(_secular_problem(coords, bundle), tol, max_iter)
     return _report(
-        y_star, y, bundle, config,
+        bundle.P_eigen @ state.x + state.s + bundle.b, y, bundle, config,
         iterations=iterations,
         method="unconstrained",
         verdict=verdict,

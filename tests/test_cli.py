@@ -106,12 +106,6 @@ def test_simulate_bad_fault_spec(tmp_path):
                  "--out", str(tmp_path / "x.csv")]) == 64
 
 
-def test_bench_runs(capsys):
-    assert main(["bench", "--count", "5", "--n", "4"]) == 0
-    out = capsys.readouterr().out
-    assert "per solve" in out
-
-
 def test_missing_file_is_bad_input(tmp_path, capsys):
     assert main(["check", str(tmp_path / "absent.json")]) == 64
     assert "error:" in capsys.readouterr().err

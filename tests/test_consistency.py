@@ -107,6 +107,12 @@ def test_band_scales_with_measurement():
     y = np.full(4, 50.0)
     assert kappa_band(y, 1e-8) == pytest.approx(5e-7)
     assert kappa_band(np.full(4, 1e-3), 1e-8) == pytest.approx(1e-8)
+    # the band's sum over n is the float np.mean gives
+    rng = np.random.default_rng(31)
+    for n in (4, 5, 6, 12):
+        for _ in range(50):
+            y = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3, size=n)
+            assert kappa_band(y, 1e-8) == 1e-8 * max(1.0, float(np.abs(y).mean()))
 
 
 def test_classify_n4_examples():

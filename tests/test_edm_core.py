@@ -11,7 +11,6 @@ from edmpos.edm_core import (
     center_configuration,
     classify_edm,
     edm_from_gram,
-    eigen_configuration,
     factor_edm,
     gram_from_edm,
 )
@@ -147,12 +146,18 @@ def test_factor_coplanar_five_points():
     assert np.abs(bundle.Z.T @ np.ones(5)).max() <= 1e-9
 
 
+def pseudo_inverse(bundle):
+    """B^+ from the bundle's eigen realization: P_eigen diag(1/delta^2) P_eigen'."""
+    Bdag = (bundle.P_eigen / bundle.delta**2) @ bundle.P_eigen.T
+    return 0.5 * (Bdag + Bdag.T)
+
+
 def test_bundle_identities():
     rng = np.random.default_rng(47)
     for n in (4, 6, 9):
         config = random_shell_config(rng, n)
         bundle = factor_edm(build_edm(config))
-        B, Bdag, V = gram_from_edm(bundle.D), bundle.Bdag, build_v_basis(n)
+        B, Bdag, V = gram_from_edm(bundle.D), pseudo_inverse(bundle), build_v_basis(n)
         X = -0.5 * (V.T @ bundle.D @ V)
         ref = max(np.abs(B).max(), 1.0)
         assert np.abs(B - V @ X @ V.T).max() <= 1e-9 * ref
@@ -183,7 +188,7 @@ def test_eigen_configuration_realizes_gram():
     rng = np.random.default_rng(61)
     config = random_shell_config(rng, 7)
     bundle = factor_edm(build_edm(config))
-    Pe = eigen_configuration(bundle)
+    Pe = bundle.P_eigen
     B = gram_from_edm(bundle.D)
     assert np.abs(Pe @ Pe.T - B).max() <= 1e-10 * max(np.abs(B).max(), 1.0)
 

@@ -60,7 +60,7 @@ def test_cached_geometry_is_shared_and_read_only():
     again, bundle_again, _ = prepare_scenario(sc)
     assert again is config and bundle_again is bundle
     arrays = [config.P, config.P_pinv, config.centroid, bundle.D, bundle.b,
-              bundle.Bdag, bundle.Z, bundle.P_eigen]
+              bundle.Z, bundle.P_eigen, bundle.E]
     assert not any(a.flags.writeable for a in arrays)
 
 
@@ -81,7 +81,7 @@ def test_anchor_array_changed_in_place_is_factored_again():
     fresh_config = center_configuration(sc.satellites)
     fresh_bundle = factor_edm(build_edm(fresh_config))
     assert np.array_equal(config2.P, fresh_config.P)
-    assert np.array_equal(bundle2.Bdag, fresh_bundle.Bdag)
+    assert np.array_equal(bundle2.E, fresh_bundle.E)
     assert not np.array_equal(config2.P, config.P)
 
 

@@ -3,7 +3,8 @@
 Geometries come from generate_scenario (normal-matrix condition up to 1e5),
 receivers from a ball of 1e-6 to 3 shell radii, and measurements carry
 either Gaussian noise of up to 1e5 m or one clamped fault of 1e6 to 1e13 m^2
-of either sign.
+of either sign.  A report must be kappa-flat and its y_star must be the
+squared ranges of its own q, both within the kappa band of y_star.
 """
 
 import numpy as np
@@ -15,6 +16,7 @@ from edmpos.errors import EdmPosError
 from edmpos.harness import (
     DEFAULT_SHELL_RADIUS,
     GaussianSq,
+    PipelineOptions,
     SingleFault,
     apply_noise,
     generate_scenario,
@@ -57,4 +59,9 @@ def test_pipeline_returns_report_or_typed_error(n, seed, radius_factor, model):
     except EdmPosError:
         return
     assert np.all(np.isfinite(report.q))
-    assert abs(report.kappa_residual) <= kappa_band(report.y_star)
+    band = kappa_band(report.y_star)
+    assert abs(report.kappa_residual) <= band
+    # y_star must be the scaled squared ranges of the reported receiver
+    scale = PipelineOptions().scale
+    realized = scale**2 * ((sc.satellites - report.q) ** 2).sum(axis=1)
+    assert np.abs(realized - report.y_star).max() <= band

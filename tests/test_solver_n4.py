@@ -40,6 +40,12 @@ def exact_squares(config, q_centered):
     return np.einsum("ij,ij->i", diff, diff)
 
 
+def pseudo_inverse(bundle):
+    """B^+ from the bundle's eigen realization: P_eigen diag(1/delta^2) P_eigen'."""
+    Bdag = (bundle.P_eigen / bundle.delta**2) @ bundle.P_eigen.T
+    return 0.5 * (Bdag + Bdag.T)
+
+
 def eval_f_raw(sp, lam):
     """Secular function in its unreduced pole-sum form, the reference for eval_f."""
     t = sp.nu - lam
@@ -64,7 +70,7 @@ def test_build_at_gram_diagonal():
     assert sp.kappa_dm == 0.0
     assert sp.degenerate
     # the ones direction is apart from the geometric columns; only its term is left
-    assert np.abs(sp.P_eigen.sum(axis=0)).max() <= 1e-12 * np.abs(sp.P_eigen).max()
+    assert np.abs(bundle.P_eigen.sum(axis=0)).max() <= 1e-12 * np.abs(bundle.P_eigen).max()
     for lam in (0.1 * sp.nu[-1], 0.5 * sp.nu[-1]):
         assert eval_f(sp, lam) == pytest.approx(2.0 * lam, rel=1e-9)
 
@@ -85,12 +91,12 @@ def test_build_spectral_data_well_formed():
     dm = faulty_measurement(rng, config, bundle)
     sp = build_secular_general(dm, bundle)
     assert sp.nu[0] >= sp.nu[1] >= sp.nu[2] > 0.0
-    G = sp.P_eigen.T @ sp.P_eigen
+    G = bundle.P_eigen.T @ bundle.P_eigen
     assert np.abs(G - np.diag(sp.nu)).max() <= 1e-10 * sp.nu[0]
-    assert np.abs(sp.P_eigen.sum(axis=0)).max() <= 1e-10 * np.abs(sp.P_eigen).max()
+    assert np.abs(bundle.P_eigen.sum(axis=0)).max() <= 1e-10 * np.abs(bundle.P_eigen).max()
     assert not sp.degenerate
     # reciprocal relation against the Gram pseudoinverse
-    mu = np.sort(np.linalg.eigvalsh(bundle.Bdag))[::-1][:3]
+    mu = np.sort(np.linalg.eigvalsh(pseudo_inverse(bundle)))[::-1][:3]
     assert np.allclose(np.sort(mu), np.sort(1.0 / sp.nu), rtol=1e-9)
 
 
@@ -177,7 +183,7 @@ def test_solve_faulty_instances_meet_contracts():
         assert lam < sp.nu[-1]
         assert report.secular_residual <= 1e-12 * max(1.0, abs(sp.hprime))
         # stationarity, reading x* and s* back from the returned vector
-        x_star = sp.P_eigen.T @ (report.y_star - bundle.b) / sp.nu
+        x_star = bundle.P_eigen.T @ (report.y_star - bundle.b) / sp.nu
         resid = (sp.nu - lam) * x_star - sp.w
         assert np.abs(resid).max() <= 1e-10
         s_star = float(np.sum(report.y_star - bundle.b)) / 4.0
