@@ -49,8 +49,12 @@ class Measurement:
         raw = np.asarray(ranges_m, dtype=float)
         if raw.ndim != 1:
             raise BadShape(f"expected a 1-D range vector, got shape {raw.shape}")
-        if np.any(raw < 0.0):
-            raise ValueError("pseudoranges must be non-negative")
+        # a NaN fails both comparisons, a negative range the first, and an
+        # infinite range or one whose scaled square overflows the second
+        lo = np.minimum.reduce(raw, initial=math.inf)
+        hi = scale * float(np.maximum.reduce(raw, initial=0.0))
+        if not (lo >= 0.0 and hi * hi < math.inf):
+            raise ValueError("pseudoranges must be non-negative with finite scaled squares")
         dm = (scale * raw) ** 2
         dm.setflags(write=False)
         raw = raw.copy()
@@ -188,10 +192,7 @@ def classify_n4(y, bundle: EdmBundle, tol: float = DEFAULT_KAPPA_TOL) -> Consist
 
 
 def self_consistency_test(
-    y,
-    bundle: EdmBundle,
-    tol: float = DEFAULT_KAPPA_TOL,
-    gale_tol: float = DEFAULT_GALE_TOL,
+    y, bundle: EdmBundle, tol: float = DEFAULT_KAPPA_TOL
 ) -> ConsistencyVerdict:
     """General consistency test for any anchor count.
 
@@ -201,20 +202,17 @@ def self_consistency_test(
     the sign of kappa within its tolerance band.
     """
     vec = as_vector(y, bundle.n)
-    return verdict_of(vec, eigen_coordinates(vec, bundle), tol, gale_tol)
+    return verdict_of(vec, eigen_coordinates(vec, bundle), tol)
 
 
 def verdict_of(
-    vec: np.ndarray,
-    coords: EigenCoordinates,
-    tol: float = DEFAULT_KAPPA_TOL,
-    gale_tol: float = DEFAULT_GALE_TOL,
+    vec: np.ndarray, coords: EigenCoordinates, tol: float = DEFAULT_KAPPA_TOL
 ) -> ConsistencyVerdict:
     """The verdict on vec from its already computed eigen coordinates."""
     k = coords.kappa
     band = kappa_band(vec, tol)
     gale_res = coords.gale_residual
-    if gale_res > gale_tol:
+    if gale_res > DEFAULT_GALE_TOL:
         return ConsistencyVerdict(
             kappa=k,
             gale_residual=gale_res,

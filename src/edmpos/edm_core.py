@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import BadShape, NotAnEdm, SingularGeometry
 
+# rank cut: a Gram eigenvalue (sigma^2 of the centred anchors) counts if > this * max(lambda_max, 1)
 DEFAULT_RANK_TOL = 1e-9
 DEFAULT_SCALE = 1e-7
 
@@ -52,15 +53,13 @@ class SatelliteConfig:
         object.__setattr__(self, "P_pinv", P_pinv)
 
 
-def center_configuration(
-    raw_points: np.ndarray,
-    scale: float = DEFAULT_SCALE,
-    rank_tol: float = DEFAULT_RANK_TOL,
-) -> SatelliteConfig:
+def center_configuration(raw_points: np.ndarray, scale: float = DEFAULT_SCALE) -> SatelliteConfig:
     """Center raw anchor coordinates (meters) and scale them to an O(1) frame.
 
-    Raises BadShape if fewer than r+1 points are given and SingularGeometry
-    if the centered points do not span all r dimensions.
+    Raises BadShape if fewer than r+1 points are given or a coordinate is not
+    finite, and SingularGeometry if the centered points do not span all r
+    dimensions under factor_edm's cut on their squared singular values, so
+    every accepted configuration factors to a bundle of rank r.
     """
     raw = np.asarray(raw_points, dtype=float)
     if raw.ndim != 2:
@@ -70,10 +69,12 @@ def center_configuration(
         raise BadShape(f"need at least r+1={r + 1} points to span {r} dimensions, got {n}")
     if not (scale > 0.0):
         raise BadShape(f"scale must be positive, got {scale}")
+    if not np.isfinite(raw).all():
+        raise BadShape("anchor coordinates must be finite")
     centroid = raw.mean(axis=0)
     P = scale * (raw - centroid)
     svals = np.linalg.svd(P, compute_uv=False)
-    if svals[0] == 0.0 or svals[r - 1] <= rank_tol * svals[0]:
+    if svals[r - 1] ** 2 <= DEFAULT_RANK_TOL * max(svals[0] ** 2, 1.0):
         raise SingularGeometry(
             f"centered points span fewer than {r} dimensions "
             f"(singular values {svals.tolist()})"
@@ -166,7 +167,6 @@ class EdmBundle:
            when n = r + 1.
         r: embedding dimension (rank of X).
         delta: eigenvalues of X above the rank cut, descending.
-        rank_tol: relative eigenvalue cut that splits delta from the null block.
         P_eigen: centered eigen realization (V W) sqrt(delta), (n, r), with W
             the eigenvectors of X for delta; its Gram matrix is B.
         E: the (n, n) measurement operator [P_eigen'; Z'; 1'].  The columns
@@ -184,7 +184,6 @@ class EdmBundle:
     Z: np.ndarray
     r: int
     delta: np.ndarray
-    rank_tol: float
     P_eigen: np.ndarray
     E: np.ndarray
     delta_sq: tuple[float, ...]
@@ -207,24 +206,19 @@ def _check_hollow_symmetric(D: np.ndarray) -> np.ndarray:
     return 0.5 * (D + D.T)
 
 
-def factor_edm(
-    D: np.ndarray,
-    V: np.ndarray | None = None,
-    rank_tol: float = DEFAULT_RANK_TOL,
-) -> EdmBundle:
+def factor_edm(D: np.ndarray) -> EdmBundle:
     """Factor a squared-distance matrix into the bundle used by the solvers.
 
     Raises NotAnEdm when the projected Gram matrix has an eigenvalue below
-    -rank_tol * max(|eigenvalues|, 1).
+    -DEFAULT_RANK_TOL * max(|eigenvalues|, 1).
     """
     D = _check_hollow_symmetric(D)
     n = D.shape[0]
-    if V is None:
-        V = build_v_basis(n)
+    V = build_v_basis(n)
     X = -0.5 * (V.T @ D @ V)
     X = 0.5 * (X + X.T)
     evals, evecs = np.linalg.eigh(X)
-    thr = rank_tol * max(float(np.abs(evals).max(initial=0.0)), 1.0)
+    thr = DEFAULT_RANK_TOL * max(float(np.abs(evals).max(initial=0.0)), 1.0)
     if evals[0] < -thr:
         raise NotAnEdm(
             f"projected Gram matrix has eigenvalue {evals[0]:.6e} below -{thr:.1e}",
@@ -246,7 +240,6 @@ def factor_edm(
         Z=_readonly(Z),
         r=r,
         delta=_readonly(delta),
-        rank_tol=float(rank_tol),
         P_eigen=_readonly(P_eigen),
         E=_readonly(np.vstack([P_eigen.T, Z.T, np.ones((1, n))])),
         delta_sq=tuple(d * d for d in delta.tolist()),
@@ -254,37 +247,28 @@ def factor_edm(
     )
 
 
-def _classify_eigs(evals: np.ndarray, rank_tol: float) -> EdmClass:
-    thr = rank_tol * max(float(np.abs(evals).max(initial=0.0)), 1.0)
+def _classify_eigs(evals: np.ndarray) -> EdmClass:
+    thr = DEFAULT_RANK_TOL * max(float(np.abs(evals).max(initial=0.0)), 1.0)
     lo = float(evals.min(initial=0.0))
     if lo < -thr:
         return EdmClass.not_edm(lo)
     return EdmClass.edm_of_dim(int(np.count_nonzero(evals > thr)))
 
 
-def classify_edm(
-    D: np.ndarray,
-    rank_tol: float = DEFAULT_RANK_TOL,
-    V: np.ndarray | None = None,
-) -> EdmClass:
+def classify_edm(D: np.ndarray) -> EdmClass:
     """Decide whether D is a squared-distance matrix and of which dimension.
 
     The test matrix is -V' D V: D is a distance matrix exactly when that
     matrix is positive semidefinite, and the embedding dimension is its rank.
     """
     D = _check_hollow_symmetric(D)
-    if V is None:
-        V = build_v_basis(D.shape[0])
+    V = build_v_basis(D.shape[0])
     M = -(V.T @ D @ V)
     M = 0.5 * (M + M.T)
-    return _classify_eigs(np.linalg.eigh(M)[0], rank_tol)
+    return _classify_eigs(np.linalg.eigh(M)[0])
 
 
-def augmented_edm_check(
-    bundle: EdmBundle,
-    y: np.ndarray,
-    rank_tol: float = DEFAULT_RANK_TOL,
-) -> EdmClass:
+def augmented_edm_check(bundle: EdmBundle, y: np.ndarray) -> EdmClass:
     """Classify the distance matrix extended by one point at squared distances y.
 
     The candidate row/column y joins bundle.D as [[0, y'], [y, D]].  That
@@ -298,4 +282,4 @@ def augmented_edm_check(
         raise BadShape(f"expected a length-{n} vector, got shape {y.shape}")
     M = y[:, None] + y[None, :] - bundle.D
     M = 0.5 * (M + M.T)
-    return _classify_eigs(np.linalg.eigh(M)[0], rank_tol)
+    return _classify_eigs(np.linalg.eigh(M)[0])

@@ -33,7 +33,6 @@ from .edm_core import (
     SatelliteConfig,
     augmented_edm_check,
     build_edm,
-    build_v_basis,
     center_configuration,
     factor_edm,
 )
@@ -46,6 +45,8 @@ SCENARIO_SCHEMA = "edmpos-scenario/1"
 DEFAULT_SHELL_RADIUS = 2.66e7
 DEFAULT_RECEIVER_RADIUS = 6.4e6
 DEFAULT_MAX_COND = 1e5
+MAX_GEOMETRY_ATTEMPTS = 1000
+MAX_NOISE_REDRAWS = 100
 # anchor sets whose factorization prepare_scenario keeps; above the few dozen
 # fixed geometries a tracking network cycles through, since an LRU bound below
 # the cycle length misses on every call
@@ -166,35 +167,33 @@ def generate_scenario(
     n: int,
     r: int = 3,
     *,
-    shell_radius: float = DEFAULT_SHELL_RADIUS,
     receiver_radius: float = DEFAULT_RECEIVER_RADIUS,
     seed=None,
     rng: np.random.Generator | None = None,
     label: str = "",
-    max_cond: float = DEFAULT_MAX_COND,
-    max_attempts: int = 1000,
 ) -> Scenario:
     """Random anchors on a spherical shell, receiver in a ball, exact pseudoranges.
 
-    Geometries whose centered coordinate matrix is rank deficient or whose
-    normal matrix condition number exceeds max_cond are rejected and redrawn;
-    GeometryRejection is raised after max_attempts draws.
+    The shell has radius DEFAULT_SHELL_RADIUS.  Geometries whose centered
+    coordinate matrix is rank deficient or whose normal matrix condition
+    number exceeds DEFAULT_MAX_COND are rejected and redrawn;
+    GeometryRejection is raised after MAX_GEOMETRY_ATTEMPTS draws.
     """
     if n < r + 1:
         raise BadShape(f"need at least r+1={r + 1} anchors, got {n}")
     if rng is None:
         rng = np.random.default_rng(seed)
-    for _ in range(max_attempts):
+    for _ in range(MAX_GEOMETRY_ATTEMPTS):
         sats = rng.normal(size=(n, r))
         norms = np.linalg.norm(sats, axis=1)
         if np.any(norms == 0.0):
             continue
-        sats = shell_radius * sats / norms[:, None]
+        sats = DEFAULT_SHELL_RADIUS * sats / norms[:, None]
         centered = sats - sats.mean(axis=0)
         svals = np.linalg.svd(centered, compute_uv=False)
-        if svals[r - 1] <= 1e-9 * svals[0]:
-            continue
-        if (svals[0] / svals[r - 1]) ** 2 > max_cond:
+        # the condition cap is the screen; a zero singular value is caught
+        # before the division
+        if not svals[r - 1] > 0.0 or (svals[0] / svals[r - 1]) ** 2 > DEFAULT_MAX_COND:
             continue
         direction = rng.normal(size=r)
         dnorm = np.linalg.norm(direction)
@@ -211,7 +210,7 @@ def generate_scenario(
             true_receiver=receiver,
             seed=seed if isinstance(seed, int) else None,
         )
-    raise GeometryRejection(f"no acceptable geometry in {max_attempts} attempts")
+    raise GeometryRejection(f"no acceptable geometry in {MAX_GEOMETRY_ATTEMPTS} attempts")
 
 
 def apply_noise(
@@ -221,7 +220,6 @@ def apply_noise(
     seed=None,
     rng: np.random.Generator | None = None,
     clamp: bool = False,
-    max_redraws: int = 100,
 ) -> Scenario:
     """Perturb a scenario's squared pseudoranges according to one noise model.
 
@@ -234,7 +232,7 @@ def apply_noise(
             rng = np.random.default_rng(seed)
         sigma_sq = 2.0 * np.sqrt(squares) * model.sigma_m
         noisy = squares + sigma_sq * rng.standard_normal(squares.shape)
-        for _ in range(max_redraws):
+        for _ in range(MAX_NOISE_REDRAWS):
             bad = noisy < 0.0
             if not np.any(bad):
                 break
@@ -279,7 +277,7 @@ def _factor_geometry(
     # is not stored, and every cached array is read-only
     raw = np.frombuffer(data).reshape(shape)
     config = center_configuration(raw, scale)
-    bundle = factor_edm(build_edm(config), build_v_basis(config.n))
+    bundle = factor_edm(build_edm(config))
     return config, bundle
 
 
@@ -363,8 +361,6 @@ class BatchSpec:
     noise: NoiseModel | tuple[NoiseModel | None, ...] | None = None
     seed: int = 0
     method: str = "auto"
-    shell_radius: float = DEFAULT_SHELL_RADIUS
-    receiver_radius: float = DEFAULT_RECEIVER_RADIUS
     clamp: bool = False
     timing: bool = False
     label_prefix: str = "sim"
@@ -458,13 +454,7 @@ def run_batch(spec: BatchSpec, out_path=None) -> BatchStats:
     for i in range(spec.count):
         n, model = cells[i % len(cells)]
         rng = np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=(i,)))
-        sc = generate_scenario(
-            n, spec.r,
-            shell_radius=spec.shell_radius,
-            receiver_radius=spec.receiver_radius,
-            rng=rng,
-            label=f"{spec.label_prefix}-{i:06d}",
-        )
+        sc = generate_scenario(n, spec.r, rng=rng, label=f"{spec.label_prefix}-{i:06d}")
         if model is not None:
             sc = apply_noise(sc, model, rng=rng, clamp=spec.clamp)
         t0 = time.perf_counter()

@@ -58,12 +58,7 @@ class ResidualReport:
     rms_range_m: float
 
 
-def recover_position(
-    y_star,
-    bundle: EdmBundle,
-    config: SatelliteConfig,
-    gale_tol: float = DEFAULT_GALE_TOL,
-) -> PositionFix:
+def recover_position(y_star, bundle: EdmBundle, config: SatelliteConfig) -> PositionFix:
     """Solve 2 P q = |q|^2 * 1 + b - y for the unique receiver point q.
 
     The system is consistent only when y - b lies in the column space of
@@ -73,14 +68,11 @@ def recover_position(
     by the configuration's stored position operator R^-1 Q'.
     """
     y = as_vector(y_star, bundle.n)
-    return position_from_coordinates(eigen_coordinates(y, bundle), bundle, config, gale_tol=gale_tol)
+    return position_from_coordinates(eigen_coordinates(y, bundle), bundle, config)
 
 
 def position_from_coordinates(
-    coords: EigenCoordinates,
-    bundle: EdmBundle,
-    config: SatelliteConfig,
-    gale_tol: float = DEFAULT_GALE_TOL,
+    coords: EigenCoordinates, bundle: EdmBundle, config: SatelliteConfig
 ) -> PositionFix:
     """Receiver from the coordinates of y - b.
 
@@ -91,9 +83,9 @@ def position_from_coordinates(
     if config.n != bundle.n:
         raise BadShape(f"configuration has {config.n} anchors, bundle has {bundle.n}")
     gale_res = coords.gale_residual
-    if gale_res > gale_tol:
+    if gale_res > DEFAULT_GALE_TOL:
         raise GaleInfeasible(
-            f"relative null-space residual {gale_res:.3e} exceeds {gale_tol:.1e}; "
+            f"relative null-space residual {gale_res:.3e} exceeds {DEFAULT_GALE_TOL:.1e}; "
             "no point realizes this squared-range vector"
         )
     if config.P_pinv is None:

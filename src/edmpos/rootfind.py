@@ -7,6 +7,8 @@ from typing import Callable
 
 from .errors import NoConvergence
 
+MAX_ITER = 200
+
 
 @dataclass(frozen=True)
 class RootResult:
@@ -24,7 +26,6 @@ def find_root_increasing(
     *,
     ftol: float,
     xtol: float,
-    max_iter: int = 200,
 ) -> RootResult:
     """Root of a strictly increasing function on the open interval (lo, hi).
 
@@ -70,7 +71,7 @@ def find_root_increasing(
         return RootResult(b, fb, evals, (lo, hi))
 
     x = 0.5 * (a + b)
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         fx = fun(x)
         evals += 1
         if abs(fx) <= ftol:
@@ -84,4 +85,4 @@ def find_root_increasing(
         d = dfun(x)
         step = x - fx / d if d > 0.0 else None
         x = step if step is not None and a < step < b else 0.5 * (a + b)
-    raise NoConvergence(f"root finder exhausted {max_iter} iterations on ({lo}, {hi})")
+    raise NoConvergence(f"root finder exhausted {MAX_ITER} iterations on ({lo}, {hi})")

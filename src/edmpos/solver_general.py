@@ -55,6 +55,7 @@ from .rootfind import find_root_increasing
 
 DEFAULT_SECULAR_TOL = 1e-13
 DEFAULT_GRAD_TOL = 1e-14
+QUARTIC_MAX_ITER = 200
 # relative distance to a pole below which the secular functions refuse to
 # evaluate; relative to each pole, because the root finder's first probe sits
 # 1e-12 * nu[-1] below the nearest one whatever the scale of nu
@@ -66,6 +67,10 @@ DEGENERACY_RTOL = 1e-12
 ORACLE_STARTS = 8
 ORACLE_RADIUS_FACTOR = 0.1
 ORACLE_SEED = 1723
+# least_squares' ftol, xtol and gtol, and its evaluation budget per start
+# in units of r + 1
+ORACLE_TOL = 1e-15
+ORACLE_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -102,8 +107,6 @@ def _secular_problem(coords: EigenCoordinates, bundle: EdmBundle) -> SecularProb
     if bundle.r == 0:
         raise SingularGeometry("anchor geometry has rank zero")
     nu = bundle.delta
-    if nu[-1] <= bundle.rank_tol * nu[0]:
-        raise SingularGeometry("quadratic form is numerically singular")
     nus = nu.tolist()
     bottom_edge = nus[-1] * (1.0 + 1e-9)
     mass = bottom_mass = 0.0
@@ -189,7 +192,6 @@ def solve_qcqp(
     *,
     kappa_tol: float = DEFAULT_KAPPA_TOL,
     config: SatelliteConfig,
-    max_iter: int = 200,
     label: str = "",
 ) -> SolveReport:
     """Project a measurement onto the feasible set via the secular equation.
@@ -225,7 +227,6 @@ def solve_qcqp(
             hi,
             ftol=tol * max(1.0, abs(sp.hprime)),
             xtol=1e-15 * float(sp.nu[-1]),
-            max_iter=max_iter,
         )
         lam = result.root
         iterations = result.iterations
@@ -285,11 +286,7 @@ def _quartic_pieces(sp: SecularProblemGen):
     return value, grad, hess
 
 
-def minimize_quartic(
-    sp: SecularProblemGen,
-    tol: float = DEFAULT_GRAD_TOL,
-    max_iter: int = 200,
-) -> tuple[UnconstrainedState, int, bool]:
+def minimize_quartic(sp: SecularProblemGen) -> tuple[UnconstrainedState, int, bool]:
     """Damped Newton descent on the substituted quartic.
 
     Newton systems are convexified by an eigenvalue shift when needed.  A step
@@ -302,13 +299,13 @@ def minimize_quartic(
     """
     value, grad, hess = _quartic_pieces(sp)
     x = sp.w / sp.nu  # multiplier-zero solution; exact for a consistent measurement
-    gtol = tol * max(1.0, 2.0 * float(np.linalg.norm(sp.w)))
+    gtol = DEFAULT_GRAD_TOL * max(1.0, 2.0 * float(np.linalg.norm(sp.w)))
     g = grad(x)
     gnorm = float(np.linalg.norm(g))
     best = (gnorm, x.copy())
     converged = gnorm <= gtol
     it = 0
-    while not converged and it < max_iter:
+    while not converged and it < QUARTIC_MAX_ITER:
         it += 1
         H = hess(x)
         emin = float(np.linalg.eigvalsh(H)[0])
@@ -349,8 +346,6 @@ def minimize_quartic(
 def solve_unconstrained(
     dm,
     bundle: EdmBundle,
-    tol: float = DEFAULT_GRAD_TOL,
-    max_iter: int = 200,
     *,
     kappa_tol: float = DEFAULT_KAPPA_TOL,
     config: SatelliteConfig,
@@ -364,7 +359,7 @@ def solve_unconstrained(
     y = as_vector(dm, bundle.n)
     coords = eigen_coordinates(y, bundle)
     verdict = verdict_of(y, coords, kappa_tol)
-    state, iterations, converged = minimize_quartic(_secular_problem(coords, bundle), tol, max_iter)
+    state, iterations, converged = minimize_quartic(_secular_problem(coords, bundle))
     return _report(
         bundle.P_eigen @ state.x + state.s + bundle.b, y, bundle, config,
         iterations=iterations,
@@ -408,8 +403,6 @@ def _polish(q: np.ndarray, P: np.ndarray, y: np.ndarray) -> np.ndarray:
 def nlp_oracle(
     dm,
     config: SatelliteConfig,
-    tol: float = 1e-15,
-    max_iter: int = 100,
     *,
     bundle: EdmBundle,
     kappa_tol: float = DEFAULT_KAPPA_TOL,
@@ -450,10 +443,10 @@ def nlp_oracle(
             q0,
             jac=jacobian,
             method="lm",
-            ftol=tol,
-            xtol=tol,
-            gtol=tol,
-            max_nfev=max_iter * (config.r + 1),
+            ftol=ORACLE_TOL,
+            xtol=ORACLE_TOL,
+            gtol=ORACLE_TOL,
+            max_nfev=ORACLE_MAX_ITER * (config.r + 1),
         )
         total_nfev += result.nfev
         if result.status > 0:
