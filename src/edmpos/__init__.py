@@ -22,9 +22,9 @@ from .edm_core import (
     augmented_edm_check,
     build_edm,
     build_v_basis,
-    center_configuration,
     classify_edm,
     edm_from_gram,
+    factor_anchors,
     factor_edm,
     gram_from_edm,
 )
@@ -100,12 +100,12 @@ __all__ = [
     "build_edm",
     "build_secular_general",
     "build_v_basis",
-    "center_configuration",
     "classify_edm",
     "classify_n4",
     "clock_bias_estimate",
     "edm_from_gram",
     "eval_f",
+    "factor_anchors",
     "factor_edm",
     "generate_scenario",
     "gram_from_edm",

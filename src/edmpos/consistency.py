@@ -10,7 +10,9 @@ Every quantity here is read off one product with the bundle's measurement
 operator E (see EdmBundle): for z = y - b, E z stacks w = P_eigen' z, the
 Gale coordinates Z' z and 1'z.  Because Bdag = P_eigen diag(1/delta^2)
 P_eigen', the quadratic form is sum_i w_i^2 / delta_i^2, so kappa needs no
-n x n pseudoinverse, and the Gale residual is max|Z'z| from the same product.
+n x n pseudoinverse, and the Gale residual is |Z'z| from the same product:
+the length of the part of z outside span[P 1], which no choice of the
+orthonormal basis Z changes.
 eigen_coordinates returns those numbers once per vector; kappa and
 self_consistency_test for an arbitrary vector, and the solvers for the
 measurement and for their feasible vector, all read them from it.
@@ -31,13 +33,18 @@ from .errors import BadShape
 DEFAULT_KAPPA_TOL = 1e-8
 DEFAULT_GALE_TOL = 1e-8
 GALE_NORM_FLOOR = 1e-6
+# largest scaled range accepted (4.5e22 m at the default scale): beyond it
+# the eps * rho**2 round-off in a squared range exceeds rho itself, and the
+# sums of squares downstream head for overflow
+MAX_SCALED_RANGE = 1.0 / np.finfo(float).eps
 
 
 @dataclass(frozen=True)
 class Measurement:
     """Measured pseudoranges: meters as reported, squared in the scaled frame.
 
-    dm[i] = (scale * raw_ranges[i])**2, always non-negative.
+    dm[i] = (scale * raw_ranges[i])**2, always non-negative, with
+    scale * raw_ranges[i] <= MAX_SCALED_RANGE.
     """
 
     dm: np.ndarray
@@ -50,11 +57,11 @@ class Measurement:
         if raw.ndim != 1:
             raise BadShape(f"expected a 1-D range vector, got shape {raw.shape}")
         # a NaN fails both comparisons, a negative range the first, and an
-        # infinite range or one whose scaled square overflows the second
+        # infinite range or one above MAX_SCALED_RANGE the second
         lo = np.minimum.reduce(raw, initial=math.inf)
         hi = scale * float(np.maximum.reduce(raw, initial=0.0))
-        if not (lo >= 0.0 and hi * hi < math.inf):
-            raise ValueError("pseudoranges must be non-negative with finite scaled squares")
+        if not (lo >= 0.0 and hi <= MAX_SCALED_RANGE):
+            raise ValueError(f"pseudoranges must lie in [0, {MAX_SCALED_RANGE / scale:.2e}] m")
         dm = (scale * raw) ** 2
         dm.setflags(write=False)
         raw = raw.copy()
@@ -121,13 +128,11 @@ class EigenCoordinates(NamedTuple):
 
 
 def _gale_of(null_coords: list[float], norm: float, bundle: EdmBundle) -> float:
-    if not null_coords:
-        return 0.0
     # floor the normalization at a fraction of |b|: when y lands on b (a
     # receiver at the anchor centroid) the difference is pure round-off and a
     # z-relative residual would read structural infeasibility into noise
     ref = max(norm, GALE_NORM_FLOOR * bundle.b_norm)
-    return max(map(abs, null_coords)) / ref if ref > 0.0 else 0.0
+    return math.hypot(*null_coords) / ref if ref > 0.0 else 0.0
 
 
 def eigen_coordinates(vec: np.ndarray, bundle: EdmBundle) -> EigenCoordinates:

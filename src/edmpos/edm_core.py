@@ -32,10 +32,9 @@ class SatelliteConfig:
 
     P is (n, r) with column sums ~0.  ``centroid`` stays in meters so a
     recovered position can be translated back: world = centered/scale + centroid.
-    P_pinv is the (r, n) position operator R^-1 Q', built once at construction
-    from the reduced QR factors of P, so every position solve on this geometry
-    is one matrix-vector product.  It is None when the diagonal of R is
-    numerically singular; position recovery refuses such a geometry.
+    P_pinv is the (r, n) position operator, the pseudoinverse of P, taken
+    from the same SVD that decided the rank (see factor_anchors), so every
+    position solve on this geometry is one matrix-vector product.
     """
 
     P: np.ndarray
@@ -43,45 +42,7 @@ class SatelliteConfig:
     n: int
     r: int
     scale: float
-    P_pinv: np.ndarray | None = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        Q, R = np.linalg.qr(self.P)
-        rdiag = np.abs(np.diag(R))
-        deficient = not rdiag.size or rdiag.min() <= 1e-12 * max(rdiag.max(), 1e-300)
-        P_pinv = None if deficient else _readonly(np.linalg.solve(R, Q.T))
-        object.__setattr__(self, "P_pinv", P_pinv)
-
-
-def center_configuration(raw_points: np.ndarray, scale: float = DEFAULT_SCALE) -> SatelliteConfig:
-    """Center raw anchor coordinates (meters) and scale them to an O(1) frame.
-
-    Raises BadShape if fewer than r+1 points are given or a coordinate is not
-    finite, and SingularGeometry if the centered points do not span all r
-    dimensions under factor_edm's cut on their squared singular values, so
-    every accepted configuration factors to a bundle of rank r.
-    """
-    raw = np.asarray(raw_points, dtype=float)
-    if raw.ndim != 2:
-        raise BadShape(f"expected a 2-D point array, got shape {raw.shape}")
-    n, r = raw.shape
-    if n < r + 1:
-        raise BadShape(f"need at least r+1={r + 1} points to span {r} dimensions, got {n}")
-    if not (scale > 0.0):
-        raise BadShape(f"scale must be positive, got {scale}")
-    if not np.isfinite(raw).all():
-        raise BadShape("anchor coordinates must be finite")
-    centroid = raw.mean(axis=0)
-    P = scale * (raw - centroid)
-    svals = np.linalg.svd(P, compute_uv=False)
-    if svals[r - 1] ** 2 <= DEFAULT_RANK_TOL * max(svals[0] ** 2, 1.0):
-        raise SingularGeometry(
-            f"centered points span fewer than {r} dimensions "
-            f"(singular values {svals.tolist()})"
-        )
-    return SatelliteConfig(
-        P=_readonly(P), centroid=_readonly(centroid), n=n, r=r, scale=float(scale)
-    )
+    P_pinv: np.ndarray = field(repr=False, compare=False)
 
 
 def build_edm(config: SatelliteConfig) -> np.ndarray:
@@ -159,16 +120,24 @@ class EdmBundle:
 
     With V the orthonormal complement basis of the ones vector, X = -V' D V / 2
     is the projected Gram matrix and B = V X V' the centered Gram matrix.
+    Two routes build it: factor_anchors from one SVD V'P = U S W' of the
+    centred anchors (X = U S^2 U'), and factor_edm from an eigh of X for a
+    distance matrix given directly.  The two agree on delta, b, P_eigen P_eigen'
+    and Z Z' to round-off; the columns of P_eigen are fixed only up to sign
+    and those of Z up to a rotation.
 
     Fields:
         D: the (n, n) squared-distance matrix itself.
-        b: diagonal of B.
+        b: diagonal of B, the squared norms of the centred anchors.
         Z: orthonormal basis of the null space of [P 1]', (n, n-1-r); empty
-           when n = r + 1.
+           when n = r + 1.  V times the eigenvectors of X (or the left
+           singular vectors of V'P) for the values at or below the rank cut.
         r: embedding dimension (rank of X).
-        delta: eigenvalues of X above the rank cut, descending.
+        delta: eigenvalues of X above the rank cut, descending (S**2 on the
+            SVD route).
         P_eigen: centered eigen realization (V W) sqrt(delta), (n, r), with W
-            the eigenvectors of X for delta; its Gram matrix is B.
+            the eigenvectors of X for delta (V U_r S on the SVD route); its
+            Gram matrix is B.
         E: the (n, n) measurement operator [P_eigen'; Z'; 1'].  The columns
             of P_eigen / sqrt(delta), Z and 1 / sqrt(n) form an orthonormal
             basis, so for a difference z = y - b the single product E z holds
@@ -206,11 +175,58 @@ def _check_hollow_symmetric(D: np.ndarray) -> np.ndarray:
     return 0.5 * (D + D.T)
 
 
+def factor_anchors(
+    raw_points: np.ndarray, scale: float = DEFAULT_SCALE
+) -> tuple[SatelliteConfig, EdmBundle]:
+    """Center and scale raw anchor coordinates (meters) and factor them once.
+
+    With V = build_v_basis(n), one full SVD V'P = U S W' of the centred,
+    scaled anchors P gives everything: the rank decision on S**2, the
+    position operator P_pinv = W S^-1 (V U_r)', and the bundle with
+    delta = S**2, P_eigen = V U_r S and the Gale basis Z = V U_{r:} (the
+    trailing left singular vectors, which is why the SVD is of V'P rather
+    than of P).  b is the squared row norms of P and D = build_edm(config).
+
+    Raises BadShape if the points have no coordinates, fewer than r+1 points
+    are given or a coordinate is not finite, and SingularGeometry if
+    S[r-1]**2 <= DEFAULT_RANK_TOL * max(S[0]**2, 1), the cut factor_edm
+    applies to its eigenvalues, so every accepted configuration has a bundle
+    of rank r.
+    """
+    raw = np.asarray(raw_points, dtype=float)
+    if raw.ndim != 2 or raw.shape[1] < 1:
+        raise BadShape(f"expected a 2-D point array of r >= 1 columns, got shape {raw.shape}")
+    n, r = raw.shape
+    if n < r + 1:
+        raise BadShape(f"need at least r+1={r + 1} points to span {r} dimensions, got {n}")
+    if not (scale > 0.0):
+        raise BadShape(f"scale must be positive, got {scale}")
+    if not np.isfinite(raw).all():
+        raise BadShape("anchor coordinates must be finite")
+    centroid = raw.mean(axis=0)
+    P = scale * (raw - centroid)
+    V = build_v_basis(n)
+    U, svals, Wt = np.linalg.svd(V.T @ P)
+    if svals[r - 1] ** 2 <= DEFAULT_RANK_TOL * max(svals[0] ** 2, 1.0):
+        raise SingularGeometry(
+            f"centered points span fewer than {r} dimensions "
+            f"(singular values {svals.tolist()})"
+        )
+    VU = V @ U
+    P_pinv = (Wt.T / svals) @ VU[:, :r].T
+    config = SatelliteConfig(P=_readonly(P), centroid=_readonly(centroid), n=n, r=r,
+                             scale=float(scale), P_pinv=_readonly(P_pinv))
+    b = np.einsum("ij,ij->i", P, P)
+    return config, _finish_bundle(build_edm(config), b, VU[:, r:], svals**2, VU[:, :r] * svals)
+
+
 def factor_edm(D: np.ndarray) -> EdmBundle:
     """Factor a squared-distance matrix into the bundle used by the solvers.
 
-    Raises NotAnEdm when the projected Gram matrix has an eigenvalue below
-    -DEFAULT_RANK_TOL * max(|eigenvalues|, 1).
+    This is the route for a distance matrix given directly, as in the paper's
+    setting; anchor coordinates go through factor_anchors, which reaches the
+    same bundle from one SVD.  Raises NotAnEdm when the projected Gram matrix
+    has an eigenvalue below -DEFAULT_RANK_TOL * max(|eigenvalues|, 1).
     """
     D = _check_hollow_symmetric(D)
     n = D.shape[0]
@@ -233,7 +249,14 @@ def factor_edm(D: np.ndarray) -> EdmBundle:
     B = 0.5 * (B + B.T)
     b = np.diag(B).copy()
     P_eigen = (V @ evecs[:, :r]) * np.sqrt(delta)
-    Z = V @ evecs[:, r:]
+    return _finish_bundle(D, b, V @ evecs[:, r:], delta, P_eigen)
+
+
+def _finish_bundle(
+    D: np.ndarray, b: np.ndarray, Z: np.ndarray, delta: np.ndarray, P_eigen: np.ndarray
+) -> EdmBundle:
+    """Assemble either route's parts, adding the operator E, delta_sq and b_norm."""
+    n, r = P_eigen.shape
     return EdmBundle(
         D=_readonly(D),
         b=_readonly(b),

@@ -32,9 +32,7 @@ from .edm_core import (
     EdmBundle,
     SatelliteConfig,
     augmented_edm_check,
-    build_edm,
-    center_configuration,
-    factor_edm,
+    factor_anchors,
 )
 from .errors import BadShape, GeometryRejection, NegativeSquare
 from .report import SolveReport
@@ -275,10 +273,7 @@ def _factor_geometry(
     # keyed by the anchors' float64 bytes, so a hit returns exactly what a
     # fresh factorization of the same content would; a geometry that raises
     # is not stored, and every cached array is read-only
-    raw = np.frombuffer(data).reshape(shape)
-    config = center_configuration(raw, scale)
-    bundle = factor_edm(build_edm(config))
-    return config, bundle
+    return factor_anchors(np.frombuffer(data).reshape(shape), scale)
 
 
 def prepare_scenario(

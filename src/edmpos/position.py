@@ -19,7 +19,7 @@ import numpy as np
 
 from .consistency import DEFAULT_GALE_TOL, EigenCoordinates, as_vector, eigen_coordinates
 from .edm_core import EdmBundle, SatelliteConfig
-from .errors import BadShape, GaleInfeasible, SingularGeometry
+from .errors import BadShape, GaleInfeasible
 
 
 @dataclass(frozen=True)
@@ -65,7 +65,7 @@ def recover_position(y_star, bundle: EdmBundle, config: SatelliteConfig) -> Posi
     [P 1]; for n > r+1 that is checked through the null-space residual and a
     violation raises GaleInfeasible.  Multiplying out the ones-component gives
     |q|^2 = mean(y - b) and the remaining least-squares system is solved
-    by the configuration's stored position operator R^-1 Q'.
+    by the configuration's stored position operator P_pinv.
     """
     y = as_vector(y_star, bundle.n)
     return position_from_coordinates(eigen_coordinates(y, bundle), bundle, config)
@@ -76,9 +76,9 @@ def position_from_coordinates(
 ) -> PositionFix:
     """Receiver from the coordinates of y - b.
 
-    Raises BadShape, GaleInfeasible and SingularGeometry as recover_position
-    documents; q = -P_pinv u / 2 with u the centred part of y - b, and |q|^2
-    is read off as 1'(y - b) / n.
+    Raises BadShape and GaleInfeasible as recover_position documents;
+    q = -P_pinv u / 2 with u the centred part of y - b, and |q|^2 is read
+    off as 1'(y - b) / n.
     """
     if config.n != bundle.n:
         raise BadShape(f"configuration has {config.n} anchors, bundle has {bundle.n}")
@@ -88,8 +88,6 @@ def position_from_coordinates(
             f"relative null-space residual {gale_res:.3e} exceeds {DEFAULT_GALE_TOL:.1e}; "
             "no point realizes this squared-range vector"
         )
-    if config.P_pinv is None:
-        raise SingularGeometry("anchor matrix is numerically rank deficient")
     # demean first: the |q|^2 * 1 component would otherwise sit in the
     # least-squares residual and amplify conditioning error
     u = coords.z - coords.total / bundle.n

@@ -20,7 +20,7 @@ from edmpos.consistency import (
 from edmpos.edm_core import (
     augmented_edm_check,
     build_edm,
-    center_configuration,
+    factor_anchors,
     factor_edm,
 )
 from edmpos.errors import SingularGeometry
@@ -67,7 +67,7 @@ def make_instance(rng, n, radius=2.66e7):
         pts = rng.normal(size=(n, 3))
         pts = radius * pts / np.linalg.norm(pts, axis=1)[:, None]
         try:
-            config = center_configuration(pts, SCALE)
+            config = factor_anchors(pts, SCALE)[0]
         except SingularGeometry:
             continue
         svals = np.linalg.svd(config.P, compute_uv=False)

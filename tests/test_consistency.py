@@ -16,7 +16,7 @@ from edmpos.consistency import (
 from edmpos.edm_core import (
     augmented_edm_check,
     build_edm,
-    center_configuration,
+    factor_anchors,
     factor_edm,
 )
 from edmpos.errors import BadShape, SingularGeometry
@@ -27,7 +27,7 @@ def make_bundle(rng, n, r=3, radius=2.66e7, scale=1e-7):
         pts = rng.normal(size=(n, r))
         pts = radius * pts / np.linalg.norm(pts, axis=1)[:, None]
         try:
-            config = center_configuration(pts, scale)
+            config = factor_anchors(pts, scale)[0]
         except SingularGeometry:
             continue
         return config, factor_edm(build_edm(config))
@@ -93,8 +93,8 @@ def test_kappa_scale_equivariance():
     pts = rng.normal(size=(6, 3)) * 1e7
     q = rng.normal(size=3) * 1e6
     alpha = 3.0
-    c1 = center_configuration(pts, scale=1e-7)
-    c2 = center_configuration(pts, scale=alpha * 1e-7)
+    c1 = factor_anchors(pts, scale=1e-7)[0]
+    c2 = factor_anchors(pts, scale=alpha * 1e-7)[0]
     b1 = factor_edm(build_edm(c1))
     b2 = factor_edm(build_edm(c2))
     y1 = exact_squares_from(c1, 1e-7 * (q - c1.centroid)) + 0.3

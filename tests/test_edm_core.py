@@ -8,9 +8,9 @@ from edmpos.edm_core import (
     augmented_edm_check,
     build_edm,
     build_v_basis,
-    center_configuration,
     classify_edm,
     edm_from_gram,
+    factor_anchors,
     factor_edm,
     gram_from_edm,
 )
@@ -41,13 +41,13 @@ def random_shell_config(rng, n, r=3, radius=2.66e7, scale=1e-7):
         pts = rng.normal(size=(n, r))
         pts = radius * pts / np.linalg.norm(pts, axis=1)[:, None]
         try:
-            return center_configuration(pts, scale)
+            return factor_anchors(pts, scale)[0]
         except SingularGeometry:
             continue
 
 
 def test_centering_simplex():
-    config = center_configuration(SIMPLEX, scale=1.0)
+    config = factor_anchors(SIMPLEX, scale=1.0)[0]
     assert np.allclose(config.centroid, [0.25, 0.25, 0.25])
     assert np.abs(config.P.sum(axis=0)).max() <= 1e-9 * np.abs(config.P).max()
     assert config.n == 4 and config.r == 3
@@ -56,12 +56,17 @@ def test_centering_simplex():
 def test_centering_rejects_collinear():
     pts = np.outer(np.arange(4.0), [1.0, 2.0, 3.0])
     with pytest.raises(SingularGeometry):
-        center_configuration(pts, scale=1.0)
+        factor_anchors(pts, scale=1.0)
 
 
 def test_centering_rejects_too_few_points():
     with pytest.raises(BadShape):
-        center_configuration(SIMPLEX[:3], scale=1.0)
+        factor_anchors(SIMPLEX[:3], scale=1.0)
+
+
+def test_anchors_without_coordinates_rejected():
+    with pytest.raises(BadShape):
+        factor_anchors(np.zeros((4, 0)), scale=1.0)
 
 
 def test_centering_shell_points_order_one():
@@ -74,7 +79,7 @@ def test_centering_shell_points_order_one():
 
 
 def test_build_edm_simplex_exact():
-    config = center_configuration(SIMPLEX, scale=1.0)
+    config = factor_anchors(SIMPLEX, scale=1.0)[0]
     D = build_edm(config)
     # centering is a translation, so the unit-simplex distances survive exactly
     assert np.array_equal(D, SIMPLEX_D)
@@ -96,7 +101,7 @@ def test_identical_points_give_zero_matrix():
     D = brute_force_sq_distances(pts)
     assert np.array_equal(D, np.zeros((4, 4)))
     with pytest.raises(SingularGeometry):
-        center_configuration(pts, scale=1.0)
+        factor_anchors(pts, scale=1.0)
     # factoring the zero matrix directly yields an empty geometry
     bundle = factor_edm(np.zeros((4, 4)))
     assert bundle.r == 0
@@ -287,8 +292,8 @@ def test_augmented_check_rejects_bad_length():
 def test_scale_equivariance():
     rng = np.random.default_rng(101)
     pts = rng.normal(size=(6, 3)) * 1e7
-    c1 = center_configuration(pts, scale=1e-7)
-    c2 = center_configuration(pts, scale=2e-7)
+    c1 = factor_anchors(pts, scale=1e-7)[0]
+    c2 = factor_anchors(pts, scale=2e-7)[0]
     D1, D2 = build_edm(c1), build_edm(c2)
     assert np.allclose(D2, 4.0 * D1, rtol=1e-14, atol=0.0)
     t1, t2 = classify_edm(D1), classify_edm(D2)
@@ -301,7 +306,7 @@ def test_classify_generated_configs_recovers_dimension():
         while True:
             pts = rng.normal(size=(n, r)) * 1e6
             try:
-                config = center_configuration(pts, scale=1e-6)
+                config = factor_anchors(pts, scale=1e-6)[0]
                 break
             except SingularGeometry:
                 continue

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from edmpos import harness
-from edmpos.edm_core import build_edm, center_configuration, factor_edm
+from edmpos.edm_core import factor_anchors
 from edmpos.errors import SingularGeometry
 from edmpos.harness import (
     GEOMETRY_MEMO_SIZE,
@@ -78,8 +78,7 @@ def test_anchor_array_changed_in_place_is_factored_again():
     sc.satellites[2] += 1.0e5
     config2, bundle2, _ = prepare_scenario(sc)
     assert config2 is not config
-    fresh_config = center_configuration(sc.satellites)
-    fresh_bundle = factor_edm(build_edm(fresh_config))
+    fresh_config, fresh_bundle = factor_anchors(sc.satellites)
     assert np.array_equal(config2.P, fresh_config.P)
     assert np.array_equal(bundle2.E, fresh_bundle.E)
     assert not np.array_equal(config2.P, config.P)

@@ -1,17 +1,18 @@
-"""Input screens: the one rank cut on anchor sets, and non-finite inputs.
+"""Input screens: the one rank cut on anchor sets, and non-finite or huge inputs.
 
-An anchor set is accepted only if factor_edm will find all r dimensions in
-it, so no accepted geometry factors to a lower-rank bundle; ranges and
-coordinates that are not finite are refused with typed errors before any
-linear algebra sees them.
+An anchor set is accepted only if its one factorization finds all r
+dimensions in it, so no accepted geometry factors to a lower-rank bundle;
+coordinates that are not finite and ranges that are not finite or exceed
+MAX_SCALED_RANGE are refused with typed errors before any linear algebra
+sees them.
 """
 
 import numpy as np
 import pytest
 
 from edmpos.cli import EXIT_BAD_INPUT, EXIT_INFEASIBLE, main
-from edmpos.consistency import Measurement
-from edmpos.edm_core import center_configuration
+from edmpos.consistency import MAX_SCALED_RANGE, Measurement
+from edmpos.edm_core import DEFAULT_RANK_TOL, DEFAULT_SCALE, factor_anchors
 from edmpos.errors import BadShape, EdmPosError, SingularGeometry
 from edmpos.harness import Scenario, generate_scenario, prepare_scenario, run_pipeline
 
@@ -67,6 +68,26 @@ def test_accepted_geometry_factors_to_full_rank():
     assert accepted and rejected
 
 
+def test_no_accepted_geometry_near_the_cut_is_misfactored():
+    # within +-3e-6 relative of the cut, where a rank test and a
+    # factorization that round differently would disagree on r
+    cut = np.sqrt(DEFAULT_RANK_TOL)
+    accepted = rejected = 0
+    for seed in range(5, 25):
+        for ratio in cut * (1.0 + np.linspace(-3e-6, 3e-6, 301)):
+            sc = squeezed(float(ratio), seed)
+            try:
+                config, bundle, _ = prepare_scenario(sc)
+            except SingularGeometry:
+                rejected += 1
+                continue
+            accepted += 1
+            assert bundle.r == config.r, (seed, ratio)
+            report = run_pipeline(sc)
+            assert np.linalg.norm(report.q - sc.true_receiver) <= 1.0, (seed, ratio)
+    assert accepted and rejected
+
+
 def _write(tmp_path, name, satellites, ranges) -> str:
     path = tmp_path / f"{name}.json"
     Scenario(label=name, dim=3, satellites=satellites, pseudoranges=ranges).save(path)
@@ -77,7 +98,8 @@ def _bad_inputs():
     sc = generate_scenario(6, seed=301)
     sats, ranges = sc.satellites, sc.pseudoranges
     out = {}
-    for name, value in (("nan-range", np.nan), ("inf-range", np.inf), ("huge-range", 1e200)):
+    for name, value in (("nan-range", np.nan), ("inf-range", np.inf), ("huge-range", 1e200),
+                        ("range-1e23", 1e23), ("range-1e84", 1e84), ("range-1e160", 1e160)):
         bad = ranges.copy()
         bad[2] = value
         out[name] = (sats, bad)
@@ -106,6 +128,25 @@ def test_non_finite_input_raises_typed_error(name):
     assert not isinstance(info.value, np.linalg.LinAlgError)
 
 
+@pytest.mark.parametrize("n", [4, 6, 12])
+def test_far_ranges_give_a_report_or_a_typed_error(n):
+    sc = generate_scenario(n, seed=310 + n)
+    direction = np.random.default_rng(n).normal(size=3)
+    direction /= np.linalg.norm(direction)
+    for exponent in range(8, 161):
+        far = 10.0**exponent
+        # |p - far * direction|, written so that no square overflows
+        ranges = far * np.linalg.norm(sc.satellites / far - direction, axis=1)
+        scenario = Scenario(label="far", dim=3, satellites=sc.satellites, pseudoranges=ranges)
+        try:
+            report = run_pipeline(scenario)
+        except (EdmPosError, ValueError):
+            assert DEFAULT_SCALE * ranges.max() > MAX_SCALED_RANGE, exponent
+            continue
+        assert np.isfinite(report.q).all() and np.isfinite(report.y_star).all(), exponent
+        assert np.isfinite(report.verdict.kappa), exponent
+
+
 def test_measurement_refuses_non_finite_ranges():
     good = np.array([3.0e7, 2.5e7, 2.8e7, 3.1e7])
     for value in (np.nan, np.inf, -np.inf, 1e200, -1.0):
@@ -126,4 +167,4 @@ def test_center_configuration_refuses_non_finite_coordinates():
         bad = pts.copy()
         bad[0, 2] = value
         with pytest.raises(BadShape):
-            center_configuration(bad)
+            factor_anchors(bad)

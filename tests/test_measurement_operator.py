@@ -2,15 +2,17 @@
 
 Every number a solve reports about a measurement and about its projection is
 read off E z for z = y - b.  These tests recompute each one from its direct
-definition: kappa from the pseudoinverse B^+, the Gale residual from Z'z, and
-the receiver from recover_position on the reported y_star and from a
-least-squares solve of 2 P q = b - y - mean(b - y).
+definition: kappa from the pseudoinverse B^+, the Gale residual from a
+least-squares fit of z on [P_eigen 1], and the receiver from recover_position
+on the reported y_star and from a least-squares solve of
+2 P q = b - y - mean(b - y).
 """
 
 import numpy as np
 import pytest
 
-from edmpos.consistency import GALE_NORM_FLOOR, self_consistency_test
+from edmpos.consistency import GALE_NORM_FLOOR, eigen_coordinates, self_consistency_test
+from edmpos.edm_core import build_edm, factor_anchors, factor_edm
 from edmpos.harness import (
     GaussianSq,
     SingleFault,
@@ -38,11 +40,15 @@ def kappa_bdag(y, bundle):
 
 
 def gale_direct(z, bundle):
-    """max|Z'z| / max(|z|, GALE_NORM_FLOOR |b|) straight from the Gale basis."""
-    if bundle.Z.shape[1] == 0:
-        return 0.0
+    """|z outside span[P_eigen 1]| / max(|z|, GALE_NORM_FLOOR |b|), with no Gale basis.
+
+    The least-squares residual of z on [P_eigen 1] is the part of z the Gale
+    coordinates measure, whichever orthonormal Z the factorization returned.
+    """
+    A = np.column_stack([bundle.P_eigen, np.ones(bundle.n)])
+    resid = z - A @ np.linalg.lstsq(A, z, rcond=None)[0]
     ref = max(float(np.linalg.norm(z)), GALE_NORM_FLOOR * float(np.linalg.norm(bundle.b)))
-    return float(np.abs(bundle.Z.T @ z).max()) / ref
+    return float(np.linalg.norm(resid)) / ref
 
 
 def lstsq_position(y, bundle, config):
@@ -106,3 +112,29 @@ def test_operator_identities_match_direct_forms(solve):
         q = report.fix.q_centered
         assert np.abs(q - recover_position(y_star, bundle, config).q_centered).max() <= tol
         assert np.abs(q - lstsq_position(y_star, bundle, config)).max() <= tol
+
+
+def test_anchor_route_matches_distance_matrix_route():
+    # the clean instances are the geometries themselves, each once
+    rng = np.random.default_rng(17)
+    for sc in INSTANCES[::3]:
+        config, bundle = factor_anchors(sc.satellites)
+        ref = factor_edm(build_edm(config))
+        assert bundle.r == ref.r == config.r
+        # eigh resolves every eigenvalue to round-off of the largest one, so
+        # the smallest is compared on that scale, not on its own
+        assert np.abs(bundle.delta - ref.delta).max() <= 1e-12 * ref.delta[0]
+        assert np.abs(bundle.b - ref.b).max() <= 1e-12 * np.abs(ref.b).max()
+        gram, gram_ref = bundle.P_eigen @ bundle.P_eigen.T, ref.P_eigen @ ref.P_eigen.T
+        assert np.abs(gram - gram_ref).max() <= 1e-12 * np.abs(gram_ref).max()
+        assert np.abs(bundle.Z @ bundle.Z.T - ref.Z @ ref.Z.T).max() <= 1e-12
+        pinv = np.linalg.pinv(config.P)
+        assert np.abs(config.P_pinv - pinv).max() <= 1e-12 * np.abs(pinv).max()
+        for _ in range(5):
+            y = bundle.b + float(np.abs(bundle.b).mean()) * rng.normal(size=bundle.n)
+            got, want = eigen_coordinates(y, bundle), eigen_coordinates(y, ref)
+            # kappa's two terms carry that same error relative to their size
+            terms = 4.0 / bundle.n * abs(want.total) + sum(
+                w * w / d2 for w, d2 in zip(want.w, ref.delta_sq))
+            assert abs(got.kappa - want.kappa) <= 1e-10 * terms
+            assert abs(got.gale_residual - want.gale_residual) <= 1e-12

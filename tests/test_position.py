@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from edmpos.edm_core import SatelliteConfig, build_edm, center_configuration, factor_edm
+from edmpos.edm_core import build_edm, factor_anchors, factor_edm
 from edmpos.errors import BadShape, GaleInfeasible, SingularGeometry
 from edmpos.harness import GaussianSq, apply_noise, generate_scenario, prepare_scenario
 from edmpos.position import recover_position, verify_fix
@@ -15,7 +15,7 @@ def make_instance(rng, n, radius=2.66e7, scale=1e-7):
         pts = rng.normal(size=(n, 3))
         pts = radius * pts / np.linalg.norm(pts, axis=1)[:, None]
         try:
-            config = center_configuration(pts, scale)
+            config = factor_anchors(pts, scale)[0]
         except SingularGeometry:
             continue
         svals = np.linalg.svd(config.P, compute_uv=False)
@@ -76,7 +76,7 @@ def test_rotation_equivariance():
             R[:, 0] = -R[:, 0]
 
         def fix_for(points, receiver):
-            config = center_configuration(points, 1e-7)
+            config = factor_anchors(points, 1e-7)[0]
             bundle = factor_edm(build_edm(config))
             y = exact_squares(config, (receiver - config.centroid) * config.scale)
             return recover_position(y, bundle, config)
@@ -94,7 +94,7 @@ def test_scale_choice_cancels():
     x_true = np.array([1.2e6, -3.4e6, 2.2e6])
     worlds = []
     for scale in (1e-7, 1e-6, 1.0):
-        config = center_configuration(pts, scale)
+        config = factor_anchors(pts, scale)[0]
         bundle = factor_edm(build_edm(config))
         y = exact_squares(config, (x_true - config.centroid) * scale)
         worlds.append(recover_position(y, bundle, config).q_world)
@@ -124,11 +124,8 @@ def test_rank_deficient_anchors_rejected():
     # coplanar anchors embedded in three columns: rank two
     flat = rng.normal(size=(6, 2))
     pts = np.column_stack([flat, np.zeros(6)])
-    config = SatelliteConfig(P=pts - pts.mean(axis=0), centroid=np.zeros(3), n=6, r=3, scale=1.0)
-    bundle = factor_edm(build_edm(config))
-    y = exact_squares(config, np.zeros(3))
     with pytest.raises(SingularGeometry):
-        recover_position(y, bundle, config)
+        factor_anchors(pts, scale=1.0)
 
 
 def test_verify_fix_clean_measurement():

@@ -8,7 +8,7 @@ from edmpos.consistency import Verdict, kappa, kappa_band
 from edmpos.edm_core import (
     augmented_edm_check,
     build_edm,
-    center_configuration,
+    factor_anchors,
     factor_edm,
 )
 from edmpos.errors import PoleEvaluation, SingularGeometry
@@ -39,7 +39,7 @@ def make_instance(rng, n, radius=2.66e7, scale=1e-7):
         pts = rng.normal(size=(n, 3))
         pts = radius * pts / np.linalg.norm(pts, axis=1)[:, None]
         try:
-            config = center_configuration(pts, scale)
+            config = factor_anchors(pts, scale)[0]
         except SingularGeometry:
             continue
         svals = np.linalg.svd(config.P, compute_uv=False)

@@ -7,7 +7,7 @@ from edmpos.consistency import Verdict, kappa, kappa_band
 from edmpos.edm_core import (
     augmented_edm_check,
     build_edm,
-    center_configuration,
+    factor_anchors,
     factor_edm,
 )
 from edmpos.errors import PoleEvaluation, SingularGeometry
@@ -26,7 +26,7 @@ def make_instance(rng, radius=2.66e7, scale=1e-7):
         pts = rng.normal(size=(4, 3))
         pts = radius * pts / np.linalg.norm(pts, axis=1)[:, None]
         try:
-            config = center_configuration(pts, scale)
+            config = factor_anchors(pts, scale)[0]
         except SingularGeometry:
             continue
         svals = np.linalg.svd(config.P, compute_uv=False)
@@ -226,8 +226,8 @@ def test_scale_equivariance():
     q_world = 1e6 * rng.normal(size=3)
     ranges = np.linalg.norm(pts - q_world, axis=1) * (1.0 + rng.uniform(-0.005, 0.005, size=4))
     alpha = 2.0
-    c1 = center_configuration(pts, 1e-7)
-    c2 = center_configuration(pts, alpha * 1e-7)
+    c1 = factor_anchors(pts, 1e-7)[0]
+    c2 = factor_anchors(pts, alpha * 1e-7)[0]
     b1 = factor_edm(build_edm(c1))
     b2 = factor_edm(build_edm(c2))
     r1 = solve_qcqp((1e-7 * ranges) ** 2, b1, config=c1)
