@@ -33,8 +33,10 @@ class SatelliteConfig:
     P is (n, r) with column sums ~0.  ``centroid`` stays in meters so a
     recovered position can be translated back: world = centered/scale + centroid.
     P_pinv is the (r, n) position operator, the pseudoinverse of P, taken
-    from the same SVD that decided the rank (see factor_anchors), so every
-    position solve on this geometry is one matrix-vector product.
+    from the same SVD that decided the rank and refined by one Newton-Schulz
+    step (see factor_anchors), so every position solve on this geometry is
+    one matrix-vector product.  A configuration from factor_anchor_stack
+    holds read-only views into that stack's arrays.
     """
 
     P: np.ndarray
@@ -47,11 +49,14 @@ class SatelliteConfig:
 
 def build_edm(config: SatelliteConfig) -> np.ndarray:
     """Matrix of pairwise squared distances between the configured anchors."""
-    P = config.P
-    diff = P[:, None, :] - P[None, :, :]
-    D = np.einsum("ijk,ijk->ij", diff, diff)
+    return _squared_distances(config.P[None])[0]
+
+
+def _squared_distances(P: np.ndarray) -> np.ndarray:
+    """(B, n, n) squared distances between the rows of each (n, r) lane of P."""
+    diff = P[:, :, None, :] - P[:, None, :, :]
     # symmetric with exact zero diagonal by construction
-    return D
+    return np.einsum("bijk,bijk->bij", diff, diff)
 
 
 @lru_cache(maxsize=None)
@@ -186,38 +191,79 @@ def factor_anchors(
     delta = S**2, P_eigen = V U_r S and the Gale basis Z = V U_{r:} (the
     trailing left singular vectors, which is why the SVD is of V'P rather
     than of P).  b is the squared row norms of P and D = build_edm(config).
+    P_pinv then takes one Newton-Schulz step, X <- 2X - X P X: the SVD's
+    product carries round-off that puts some exact four-anchor fixes over
+    1e-6 m from the truth, and the step cuts the largest entry of
+    P_pinv P - I about fourfold at n = 4.
 
-    Raises BadShape if the points have no coordinates, fewer than r+1 points
-    are given or a coordinate is not finite, and SingularGeometry if
+    This is the one-lane case of factor_anchor_stack.  Raises BadShape if
+    the points have no coordinates, fewer than r+1 points are given or a
+    coordinate is not finite, and SingularGeometry if
     S[r-1]**2 <= DEFAULT_RANK_TOL * max(S[0]**2, 1), the cut factor_edm
     applies to its eigenvalues, so every accepted configuration has a bundle
     of rank r.
     """
     raw = np.asarray(raw_points, dtype=float)
-    if raw.ndim != 2 or raw.shape[1] < 1:
+    if raw.ndim != 2:
         raise BadShape(f"expected a 2-D point array of r >= 1 columns, got shape {raw.shape}")
-    n, r = raw.shape
+    lane = factor_anchor_stack(raw[None], scale)[0]
+    if isinstance(lane, Exception):
+        raise lane
+    return lane
+
+
+def factor_anchor_stack(
+    raw_points: np.ndarray, scale: float = DEFAULT_SCALE
+) -> list[tuple[SatelliteConfig, EdmBundle] | BadShape | SingularGeometry]:
+    """factor_anchors for a (B, n, r) stack of anchor sets, with one stacked SVD.
+
+    Lane k of the result is bitwise what factor_anchors(raw_points[k]) returns,
+    or the BadShape (non-finite coordinates) or SingularGeometry it would
+    raise; every lane's arrays are read-only views into shared stacks.  A
+    shape or scale that no lane can pass raises BadShape for the whole stack.
+    """
+    raw = np.asarray(raw_points, dtype=float)
+    if raw.ndim != 3 or raw.shape[2] < 1:
+        raise BadShape(f"expected a 2-D point array of r >= 1 columns, got shape {raw.shape[1:]}")
+    lanes, n, r = raw.shape
     if n < r + 1:
         raise BadShape(f"need at least r+1={r + 1} points to span {r} dimensions, got {n}")
     if not (scale > 0.0):
         raise BadShape(f"scale must be positive, got {scale}")
     if not np.isfinite(raw).all():
-        raise BadShape("anchor coordinates must be finite")
-    centroid = raw.mean(axis=0)
-    P = scale * (raw - centroid)
+        # the SVD of a non-finite lane would fail the whole stack
+        out: list = [BadShape("anchor coordinates must be finite") for _ in range(lanes)]
+        good = np.flatnonzero(np.isfinite(raw).all(axis=(1, 2)))
+        for k, lane in zip(good.tolist(), factor_anchor_stack(raw[good], scale)):
+            out[k] = lane
+        return out
+    centroid = raw.mean(axis=1)
+    P = scale * (raw - centroid[:, None, :])
     V = build_v_basis(n)
     U, svals, Wt = np.linalg.svd(V.T @ P)
-    if svals[r - 1] ** 2 <= DEFAULT_RANK_TOL * max(svals[0] ** 2, 1.0):
-        raise SingularGeometry(
-            f"centered points span fewer than {r} dimensions "
-            f"(singular values {svals.tolist()})"
-        )
+    delta = svals**2
+    ok = [d[r - 1] > DEFAULT_RANK_TOL * max(d[0], 1.0) for d in delta.tolist()]
     VU = V @ U
-    P_pinv = (Wt.T / svals) @ VU[:, :r].T
-    config = SatelliteConfig(P=_readonly(P), centroid=_readonly(centroid), n=n, r=r,
-                             scale=float(scale), P_pinv=_readonly(P_pinv))
-    b = np.einsum("ij,ij->i", P, P)
-    return config, _finish_bundle(build_edm(config), b, VU[:, r:], svals**2, VU[:, :r] * svals)
+    # a rejected lane divides by ones instead, so its discarded operator stays finite
+    s_div = svals if all(ok) else np.where(np.array(ok)[:, None], svals, 1.0)
+    P_pinv = (Wt.transpose(0, 2, 1) / s_div[:, None, :]) @ VU[:, :, :r].transpose(0, 2, 1)
+    P_pinv = 2.0 * P_pinv - P_pinv @ P @ P_pinv
+    bundles = _finish_bundles(
+        _squared_distances(P), np.einsum("bij,bij->bi", P, P), VU[:, :, r:], delta,
+        VU[:, :, :r] * svals[:, None, :])
+    for a in (P, centroid, P_pinv):
+        _readonly(a)
+    out = []
+    for k, (bundle, accepted) in enumerate(zip(bundles, ok)):
+        if not accepted:
+            out.append(SingularGeometry(
+                f"centered points span fewer than {r} dimensions "
+                f"(singular values {svals[k].tolist()})"
+            ))
+        else:
+            out.append((SatelliteConfig(P=P[k], centroid=centroid[k], n=n, r=r,
+                                        scale=float(scale), P_pinv=P_pinv[k]), bundle))
+    return out
 
 
 def factor_edm(D: np.ndarray) -> EdmBundle:
@@ -249,33 +295,39 @@ def factor_edm(D: np.ndarray) -> EdmBundle:
     B = 0.5 * (B + B.T)
     b = np.diag(B).copy()
     P_eigen = (V @ evecs[:, :r]) * np.sqrt(delta)
-    return _finish_bundle(D, b, V @ evecs[:, r:], delta, P_eigen)
+    return _finish_bundles(D[None], b[None], (V @ evecs[:, r:])[None], delta[None],
+                           P_eigen[None])[0]
 
 
-def _finish_bundle(
+def _finish_bundles(
     D: np.ndarray, b: np.ndarray, Z: np.ndarray, delta: np.ndarray, P_eigen: np.ndarray
-) -> EdmBundle:
-    """Assemble either route's parts, adding the operator E, delta_sq and b_norm."""
-    n, r = P_eigen.shape
-    return EdmBundle(
-        D=_readonly(D),
-        b=_readonly(b),
-        Z=_readonly(Z),
-        r=r,
-        delta=_readonly(delta),
-        P_eigen=_readonly(P_eigen),
-        E=_readonly(np.vstack([P_eigen.T, Z.T, np.ones((1, n))])),
-        delta_sq=tuple(d * d for d in delta.tolist()),
-        b_norm=float(np.linalg.norm(b)),
-    )
+) -> list[EdmBundle]:
+    """Assemble either route's (B, ...) stacked parts into read-only per-lane bundles.
+
+    Adds the operator E, delta_sq and b_norm; each bundle's arrays are views
+    into the stacks.
+    """
+    lanes, n, r = P_eigen.shape
+    # concatenate keeps the layout of its inputs, which sets how E @ z sums
+    E = np.concatenate(
+        [P_eigen.transpose(0, 2, 1), Z.transpose(0, 2, 1), np.ones((lanes, 1, n))], axis=1)
+    for a in (D, b, Z, delta, P_eigen, E):
+        _readonly(a)
+    delta_sq = (delta * delta).tolist()
+    return [
+        EdmBundle(D=D[k], b=b[k], Z=Z[k], r=r, delta=delta[k], P_eigen=P_eigen[k], E=E[k],
+                  delta_sq=tuple(delta_sq[k]), b_norm=float(np.linalg.norm(b[k])))
+        for k in range(lanes)
+    ]
 
 
-def _classify_eigs(evals: np.ndarray) -> EdmClass:
-    thr = DEFAULT_RANK_TOL * max(float(np.abs(evals).max(initial=0.0)), 1.0)
-    lo = float(evals.min(initial=0.0))
-    if lo < -thr:
-        return EdmClass.not_edm(lo)
-    return EdmClass.edm_of_dim(int(np.count_nonzero(evals > thr)))
+def _classify_eigs(evals: np.ndarray) -> list[EdmClass]:
+    """Classify each row of a (B, n) stack of test-matrix eigenvalues."""
+    thr = DEFAULT_RANK_TOL * np.maximum(np.abs(evals).max(axis=1, initial=0.0), 1.0)
+    lo = evals.min(axis=1, initial=0.0).tolist()
+    dims = np.count_nonzero(evals > thr[:, None], axis=1).tolist()
+    return [EdmClass.not_edm(low) if low < -t else EdmClass.edm_of_dim(k)
+            for low, t, k in zip(lo, thr.tolist(), dims)]
 
 
 def classify_edm(D: np.ndarray) -> EdmClass:
@@ -288,7 +340,7 @@ def classify_edm(D: np.ndarray) -> EdmClass:
     V = build_v_basis(D.shape[0])
     M = -(V.T @ D @ V)
     M = 0.5 * (M + M.T)
-    return _classify_eigs(np.linalg.eigh(M)[0])
+    return _classify_eigs(np.linalg.eigh(M[None])[0])[0]
 
 
 def augmented_edm_check(bundle: EdmBundle, y: np.ndarray) -> EdmClass:
@@ -297,12 +349,18 @@ def augmented_edm_check(bundle: EdmBundle, y: np.ndarray) -> EdmClass:
     The candidate row/column y joins bundle.D as [[0, y'], [y, D]].  That
     extension is a distance matrix of dimension k exactly when
     y*1' + 1*y' - D is positive semidefinite with rank k (it is twice the
-    Gram matrix of the anchors relative to the new point).
+    Gram matrix of the anchors relative to the new point).  This is the
+    one-lane case of augmented_edm_checks.
     """
     y = np.asarray(y, dtype=float)
     n = bundle.n
     if y.shape != (n,):
         raise BadShape(f"expected a length-{n} vector, got shape {y.shape}")
-    M = y[:, None] + y[None, :] - bundle.D
-    M = 0.5 * (M + M.T)
+    return augmented_edm_checks(bundle.D[None], y[None])[0]
+
+
+def augmented_edm_checks(D: np.ndarray, Y: np.ndarray) -> list[EdmClass]:
+    """augmented_edm_check for (B, n, n) distance matrices and (B, n) vectors, one eigh."""
+    M = Y[:, :, None] + Y[:, None, :] - D
+    M = 0.5 * (M + M.transpose(0, 2, 1))
     return _classify_eigs(np.linalg.eigh(M)[0])

@@ -31,10 +31,11 @@ from .edm_core import (
     DEFAULT_SCALE,
     EdmBundle,
     SatelliteConfig,
-    augmented_edm_check,
+    augmented_edm_checks,
+    factor_anchor_stack,
     factor_anchors,
 )
-from .errors import BadShape, GeometryRejection, NegativeSquare
+from .errors import BadShape, EdmPosError, GeometryRejection, NegativeSquare
 from .report import SolveReport
 from .solver_general import DEFAULT_SECULAR_TOL, nlp_oracle, solve_qcqp, solve_unconstrained
 
@@ -49,6 +50,8 @@ MAX_NOISE_REDRAWS = 100
 # fixed geometries a tracking network cycles through, since an LRU bound below
 # the cycle length misses on every call
 GEOMETRY_MEMO_SIZE = 64
+# rows run_batch carries through its stacked stages at a time
+BATCH_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -175,40 +178,75 @@ def generate_scenario(
     The shell has radius DEFAULT_SHELL_RADIUS.  Geometries whose centered
     coordinate matrix is rank deficient or whose normal matrix condition
     number exceeds DEFAULT_MAX_COND are rejected and redrawn;
-    GeometryRejection is raised after MAX_GEOMETRY_ATTEMPTS draws.
+    GeometryRejection is raised after MAX_GEOMETRY_ATTEMPTS draws.  This is
+    the one-lane case of _generate_scenarios.
+    """
+    if rng is None:
+        rng = np.random.default_rng(seed)
+    sc = _generate_scenarios(n, r, [rng], [label], receiver_radius)[0]
+    if isinstance(sc, GeometryRejection):
+        raise sc
+    return replace(sc, seed=seed) if isinstance(seed, int) else sc
+
+
+def _generate_scenarios(
+    n: int,
+    r: int,
+    rngs: list[np.random.Generator],
+    labels: list[str],
+    receiver_radius: float = DEFAULT_RECEIVER_RADIUS,
+) -> list[Scenario | GeometryRejection]:
+    """generate_scenario for one generator per lane, screening each draw round with one SVD.
+
+    Every lane draws from its own generator exactly what generate_scenario
+    draws, in the same order; a rejected lane draws again in the next round.
+    A lane still rejected after MAX_GEOMETRY_ATTEMPTS rounds gets a
+    GeometryRejection in place of its scenario.
     """
     if n < r + 1:
         raise BadShape(f"need at least r+1={r + 1} anchors, got {n}")
-    if rng is None:
-        rng = np.random.default_rng(seed)
+    lanes = len(rngs)
+    sats = np.zeros((lanes, n, r))
+    receivers = np.zeros((lanes, r))
+    active = list(range(lanes))
     for _ in range(MAX_GEOMETRY_ATTEMPTS):
-        sats = rng.normal(size=(n, r))
-        norms = np.linalg.norm(sats, axis=1)
-        if np.any(norms == 0.0):
-            continue
-        sats = DEFAULT_SHELL_RADIUS * sats / norms[:, None]
-        centered = sats - sats.mean(axis=0)
-        svals = np.linalg.svd(centered, compute_uv=False)
-        # the condition cap is the screen; a zero singular value is caught
-        # before the division
-        if not svals[r - 1] > 0.0 or (svals[0] / svals[r - 1]) ** 2 > DEFAULT_MAX_COND:
-            continue
-        direction = rng.normal(size=r)
-        dnorm = np.linalg.norm(direction)
-        if dnorm == 0.0:
-            continue
-        radius = receiver_radius * rng.uniform() ** (1.0 / r)
-        receiver = radius * direction / dnorm
-        ranges = np.linalg.norm(sats - receiver, axis=1)
-        return Scenario(
-            label=label,
-            dim=r,
-            satellites=sats,
-            pseudoranges=ranges,
-            true_receiver=receiver,
-            seed=seed if isinstance(seed, int) else None,
-        )
-    raise GeometryRejection(f"no acceptable geometry in {MAX_GEOMETRY_ATTEMPTS} attempts")
+        if not active:
+            break
+        draws = np.stack([rngs[k].normal(size=(n, r)) for k in active])
+        norms = np.linalg.norm(draws, axis=2)
+        drawn = np.flatnonzero((norms != 0.0).all(axis=1))
+        shell = DEFAULT_SHELL_RADIUS * draws[drawn] / norms[drawn][:, :, None]
+        svals = np.linalg.svd(shell - shell.mean(axis=1, keepdims=True), compute_uv=False)
+        screened = {}
+        for pos, lane, s in zip(drawn.tolist(), shell, svals.tolist()):
+            # the condition cap is the screen; a zero singular value is
+            # caught before the division
+            if s[r - 1] > 0.0 and not (s[0] / s[r - 1]) ** 2 > DEFAULT_MAX_COND:
+                screened[pos] = lane
+        retry = []
+        for pos, k in enumerate(active):
+            if pos not in screened:
+                retry.append(k)
+                continue
+            rng = rngs[k]
+            direction = rng.normal(size=r)
+            dnorm = np.linalg.norm(direction)
+            if dnorm == 0.0:
+                retry.append(k)
+                continue
+            radius = receiver_radius * rng.uniform() ** (1.0 / r)
+            sats[k] = screened[pos]
+            receivers[k] = radius * direction / dnorm
+        active = retry
+    ranges = np.linalg.norm(sats - receivers[:, None, :], axis=2)
+    failed = set(active)
+    return [
+        GeometryRejection(f"no acceptable geometry in {MAX_GEOMETRY_ATTEMPTS} attempts")
+        if k in failed else
+        Scenario(label=labels[k], dim=r, satellites=sats[k], pseudoranges=ranges[k],
+                 true_receiver=receivers[k])
+        for k in range(lanes)
+    ]
 
 
 def apply_noise(
@@ -266,6 +304,11 @@ class PipelineOptions:
     debias: bool = False
 
 
+# factorizations run_batch made in one stack, each waiting for the memo call
+# of its row: a pure function of its key, so a lookup by any caller may take it
+_stacked: dict[tuple, tuple[SatelliteConfig, EdmBundle] | EdmPosError] = {}
+
+
 @lru_cache(maxsize=GEOMETRY_MEMO_SIZE)
 def _factor_geometry(
     data: bytes, shape: tuple[int, ...], scale: float
@@ -273,7 +316,12 @@ def _factor_geometry(
     # keyed by the anchors' float64 bytes, so a hit returns exactly what a
     # fresh factorization of the same content would; a geometry that raises
     # is not stored, and every cached array is read-only
-    return factor_anchors(np.frombuffer(data).reshape(shape), scale)
+    entry = _stacked.pop((data, shape, scale), None)
+    if entry is None:
+        return factor_anchors(np.frombuffer(data).reshape(shape), scale)
+    if isinstance(entry, EdmPosError):
+        raise entry
+    return entry
 
 
 def prepare_scenario(
@@ -407,13 +455,9 @@ def _error_stats(errors: list[float]) -> dict:
     if not errors:
         return {"mean": None, "p50": None, "p90": None, "p99": None, "max": None}
     arr = np.asarray(errors)
-    return {
-        "mean": float(arr.mean()),
-        "p50": float(np.percentile(arr, 50)),
-        "p90": float(np.percentile(arr, 90)),
-        "p99": float(np.percentile(arr, 99)),
-        "max": float(arr.max()),
-    }
+    p50, p90, p99 = np.percentile(arr, [50, 90, 99]).tolist()
+    return {"mean": float(arr.mean()), "p50": p50, "p90": p90, "p99": p99,
+            "max": float(arr.max())}
 
 
 def _confusion_rates(conf: dict) -> dict:
@@ -425,17 +469,137 @@ def _confusion_rates(conf: dict) -> dict:
     return out
 
 
+def _squared_ranges(ranges: np.ndarray, scale: float) -> list:
+    """Measurement.from_ranges(row, scale).dm for each row of a (B, n) range stack.
+
+    One screen covers the whole stack; only when it fails is each row
+    screened alone, so a failing row carries its ValueError instead.
+    """
+    try:
+        return list(Measurement.from_ranges(ranges.ravel(), scale).dm.reshape(ranges.shape))
+    except ValueError:
+        pass
+    out: list = []
+    for row in ranges:
+        try:
+            out.append(Measurement.from_ranges(row, scale).dm)
+        except ValueError as exc:
+            out.append(exc)
+    return out
+
+
+def _factor_rows(anchors: list[np.ndarray], scale: float) -> list:
+    """prepare_scenario's factorization for each row, or the EdmPosError it raises.
+
+    One factor_anchor_stack call factors every row; each row then goes
+    through the memo, which hands out a stored entry on a hit and takes the
+    row's stacked factorization on a miss, so hits, misses and the stored
+    entries are those of calling prepare_scenario row by row.
+    """
+    try:
+        lanes = factor_anchor_stack(np.stack(anchors), scale)
+    except BadShape as exc:  # a scale no row can pass
+        return [exc] * len(anchors)
+    keys = [(a.tobytes(), a.shape, scale) for a in anchors]
+    out: list = []
+    try:
+        _stacked.update(zip(keys, lanes))
+        for key in keys:
+            try:
+                out.append(_factor_geometry(*key))
+            except EdmPosError as exc:
+                out.append(exc)
+    finally:
+        _stacked.clear()
+    return out
+
+
+def _run_block(
+    spec: BatchSpec, cells: list, rows: range
+) -> list[tuple[Scenario, SolveReport, bool, float]]:
+    """(scenario, report, oracle_faulty, wall) for each row of one block, in row order.
+
+    Generation, factoring, the range screen and the eigenvalue oracle run
+    once over all rows of one anchor count; noise, the solver input and the
+    solve run row by row, and wall times those last two.  oracle_faulty
+    means the oracle does not extend the anchors at dimension r with the
+    solver's input vector.  Each row draws from its own generator exactly
+    what it would alone.  A row that fails skips its later stages, and the
+    block then raises the error of the first failing row, as a row-by-row
+    loop would.
+    """
+    opts = spec.options
+    failed: dict[int, Exception] = {}
+    rngs = {i: np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=(i,)))
+            for i in rows}
+    groups: dict[int, list[int]] = {}
+    for i in rows:
+        groups.setdefault(cells[i % len(cells)][0], []).append(i)
+
+    scenarios: dict[int, Scenario] = {}
+    for n, idx in groups.items():
+        labels = [f"{spec.label_prefix}-{i:06d}" for i in idx]
+        try:
+            drawn = _generate_scenarios(n, spec.r, [rngs[i] for i in idx], labels)
+        except BadShape as exc:
+            drawn = [exc] * len(idx)
+        for i, sc in zip(idx, drawn):
+            if isinstance(sc, Exception):
+                failed[i] = sc
+            else:
+                scenarios[i] = sc
+    for i, sc in scenarios.items():
+        model = cells[i % len(cells)][1]
+        if model is not None:
+            try:
+                scenarios[i] = apply_noise(sc, model, rng=rngs[i], clamp=spec.clamp)
+            except Exception as exc:
+                failed[i] = exc
+
+    done = {}
+    for idx in groups.values():
+        live = [i for i in idx if i not in failed]
+        if not live:
+            continue
+        geoms = _factor_rows([scenarios[i].satellites for i in live], opts.scale)
+        dms = _squared_ranges(np.stack([scenarios[i].pseudoranges for i in live]), opts.scale)
+        solved = []
+        for i, geom, dm in zip(live, geoms, dms):
+            try:
+                for stage in (geom, dm):  # an earlier stacked stage failed this row
+                    if isinstance(stage, Exception):
+                        raise stage
+                config, bundle = geom
+                t0 = time.perf_counter()
+                y = _solver_input(dm, bundle, opts)
+                report = _dispatch(y, config, bundle, spec.method, opts)
+                solved.append((i, bundle, y, report, time.perf_counter() - t0))
+            except Exception as exc:
+                failed[i] = exc
+        if solved:
+            oracles = augmented_edm_checks(np.stack([row[1].D for row in solved]),
+                                           np.stack([row[2] for row in solved]))
+            for (i, bundle, _, report, wall), oracle in zip(solved, oracles):
+                oracle_faulty = not (oracle.is_edm and oracle.dim == bundle.r)
+                done[i] = (scenarios[i], report, oracle_faulty, wall)
+    if failed:
+        raise failed[min(failed)]
+    return [done[i] for i in rows]
+
+
 def run_batch(spec: BatchSpec, out_path=None) -> BatchStats:
     """Generate, perturb, and solve spec.count instances; write CSV and summary.
 
     out_path is the CSV destination (None skips writing); the summary JSON
     lands next to it with a .summary.json suffix.  Per-instance randomness is
-    split from spec.seed, so reruns reproduce every instance exactly.
+    split from spec.seed, so reruns reproduce every instance exactly.  Rows
+    run in blocks of BATCH_BLOCK (see _run_block); the CSV and the summary
+    are those of solving the rows one by one with run_pipeline's steps, and
+    a failing row raises before anything is written.
     """
     ns = (spec.n,) if isinstance(spec.n, int) else tuple(spec.n)
     noises = tuple(spec.noise) if isinstance(spec.noise, (list, tuple)) else (spec.noise,)
     cells = [(n, m) for n in ns for m in noises]
-    opts = spec.options
     rows = []
     errors_all: list[float] = []
     iters_all: list[int] = []
@@ -446,48 +610,38 @@ def run_batch(spec: BatchSpec, out_path=None) -> BatchStats:
         for n in ns
     }
 
-    for i in range(spec.count):
-        n, model = cells[i % len(cells)]
-        rng = np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=(i,)))
-        sc = generate_scenario(n, spec.r, rng=rng, label=f"{spec.label_prefix}-{i:06d}")
-        if model is not None:
-            sc = apply_noise(sc, model, rng=rng, clamp=spec.clamp)
-        t0 = time.perf_counter()
-        config, bundle, measurement = prepare_scenario(sc, opts)
-        dm = _solver_input(measurement.dm, bundle, opts)
-        report = _dispatch(dm, config, bundle, spec.method, opts)
-        wall = time.perf_counter() - t0
-        wall_all.append(wall)
+    for start in range(0, spec.count, BATCH_BLOCK):
+        block = range(start, min(start + BATCH_BLOCK, spec.count))
+        for i, (sc, report, oracle_faulty, wall) in zip(block, _run_block(spec, cells, block)):
+            n = cells[i % len(cells)][0]
+            wall_all.append(wall)
+            kappa_faulty = report.verdict.tag is not Verdict.SELF_CONSISTENT
+            if kappa_faulty:
+                key = "tp" if oracle_faulty else "fp"
+            else:
+                key = "fn" if oracle_faulty else "tn"
+            conf[key] += 1
+            per_n[n]["conf"][key] += 1
+            per_n[n]["count"] += 1
+            iters_all.append(report.iterations)
 
-        oracle = augmented_edm_check(bundle, dm)
-        oracle_faulty = not (oracle.is_edm and oracle.dim == bundle.r)
-        kappa_faulty = report.verdict.tag is not Verdict.SELF_CONSISTENT
-        if kappa_faulty:
-            key = "tp" if oracle_faulty else "fp"
-        else:
-            key = "fn" if oracle_faulty else "tn"
-        conf[key] += 1
-        per_n[n]["conf"][key] += 1
-        per_n[n]["count"] += 1
-        iters_all.append(report.iterations)
+            pos_err = None
+            if sc.true_receiver is not None:
+                pos_err = float(np.linalg.norm(report.q - sc.true_receiver))
+                errors_all.append(pos_err)
+                per_n[n]["errors"].append(pos_err)
 
-        pos_err = None
-        if sc.true_receiver is not None:
-            pos_err = float(np.linalg.norm(report.q - sc.true_receiver))
-            errors_all.append(pos_err)
-            per_n[n]["errors"].append(pos_err)
-
-        rows.append([
-            sc.label,
-            n,
-            float(report.verdict.kappa),
-            report.verdict.tag.value,
-            float(report.lambda_star) if report.lambda_star is not None else None,
-            pos_err,
-            report.iterations,
-            report.method,
-            int(round(wall * 1e6)) if spec.timing else 0,
-        ])
+            rows.append([
+                sc.label,
+                n,
+                float(report.verdict.kappa),
+                report.verdict.tag.value,
+                float(report.lambda_star) if report.lambda_star is not None else None,
+                pos_err,
+                report.iterations,
+                report.method,
+                int(round(wall * 1e6)) if spec.timing else 0,
+            ])
 
     if out_path is not None:
         out_path = Path(out_path)

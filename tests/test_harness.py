@@ -153,6 +153,16 @@ def test_pipeline_clean_minimal_constellation():
     assert np.linalg.norm(report.q - sc.true_receiver) <= 1e-6
 
 
+@pytest.mark.parametrize("seed, index", [
+    (3508389199, 18), (2849792127, 48), (980755647, 18), (3032697557, 30),
+])
+def test_clean_four_anchor_fix_within_a_micrometre(seed, index):
+    """Rows whose fix the unrefined SVD pseudoinverse put 1.4-3.2e-6 m off."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
+    sc = generate_scenario(4, rng=rng)
+    assert np.linalg.norm(run_pipeline(sc).q - sc.true_receiver) <= 1e-6
+
+
 @pytest.mark.parametrize("method", ["secular", "unconstrained", "nlp"])
 def test_pipeline_report_carries_scenario_label(method):
     sc = apply_noise(generate_scenario(6, seed=33, label="epoch-7"), GaussianSq(2.0), seed=3)
