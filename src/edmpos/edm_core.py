@@ -214,13 +214,13 @@ def factor_anchors(
 
 def factor_anchor_stack(
     raw_points: np.ndarray, scale: float = DEFAULT_SCALE
-) -> list[tuple[SatelliteConfig, EdmBundle] | BadShape | SingularGeometry]:
+) -> list[tuple[SatelliteConfig, EdmBundle] | SingularGeometry]:
     """factor_anchors for a (B, n, r) stack of anchor sets, with one stacked SVD.
 
     Lane k of the result is bitwise what factor_anchors(raw_points[k]) returns,
-    or the BadShape (non-finite coordinates) or SingularGeometry it would
-    raise; every lane's arrays are read-only views into shared stacks.  A
-    shape or scale that no lane can pass raises BadShape for the whole stack.
+    or the SingularGeometry it would raise; every lane's arrays are read-only
+    views into shared stacks.  A shape, scale or non-finite coordinate raises
+    BadShape for the whole stack.
     """
     raw = np.asarray(raw_points, dtype=float)
     if raw.ndim != 3 or raw.shape[2] < 1:
@@ -231,14 +231,11 @@ def factor_anchor_stack(
     if not (scale > 0.0):
         raise BadShape(f"scale must be positive, got {scale}")
     if not np.isfinite(raw).all():
-        # the SVD of a non-finite lane would fail the whole stack
-        out: list = [BadShape("anchor coordinates must be finite") for _ in range(lanes)]
-        good = np.flatnonzero(np.isfinite(raw).all(axis=(1, 2)))
-        for k, lane in zip(good.tolist(), factor_anchor_stack(raw[good], scale)):
-            out[k] = lane
-        return out
-    centroid = raw.mean(axis=1)
-    P = scale * (raw - centroid[:, None, :])
+        raise BadShape("anchor coordinates must be finite")
+    # the bits of raw.mean(axis=1), without mean's call overhead
+    centroid = raw.sum(axis=1, keepdims=True) / n
+    P = scale * (raw - centroid)
+    centroid = centroid[:, 0]
     V = build_v_basis(n)
     U, svals, Wt = np.linalg.svd(V.T @ P)
     delta = svals**2

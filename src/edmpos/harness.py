@@ -469,25 +469,6 @@ def _confusion_rates(conf: dict) -> dict:
     return out
 
 
-def _squared_ranges(ranges: np.ndarray, scale: float) -> list:
-    """Measurement.from_ranges(row, scale).dm for each row of a (B, n) range stack.
-
-    One screen covers the whole stack; only when it fails is each row
-    screened alone, so a failing row carries its ValueError instead.
-    """
-    try:
-        return list(Measurement.from_ranges(ranges.ravel(), scale).dm.reshape(ranges.shape))
-    except ValueError:
-        pass
-    out: list = []
-    for row in ranges:
-        try:
-            out.append(Measurement.from_ranges(row, scale).dm)
-        except ValueError as exc:
-            out.append(exc)
-    return out
-
-
 def _factor_rows(anchors: list[np.ndarray], scale: float) -> list:
     """prepare_scenario's factorization for each row, or the EdmPosError it raises.
 
@@ -519,9 +500,9 @@ def _run_block(
 ) -> list[tuple[Scenario, SolveReport, bool, float]]:
     """(scenario, report, oracle_faulty, wall) for each row of one block, in row order.
 
-    Generation, factoring, the range screen and the eigenvalue oracle run
-    once over all rows of one anchor count; noise, the solver input and the
-    solve run row by row, and wall times those last two.  oracle_faulty
+    Generation, factoring and the eigenvalue oracle run once over all rows
+    of one anchor count; noise, the range screen, the solver input and the
+    solve run row by row, and wall times the last two.  oracle_faulty
     means the oracle does not extend the anchors at dimension r with the
     solver's input vector.  Each row draws from its own generator exactly
     what it would alone.  A row that fails skips its later stages, and the
@@ -562,14 +543,13 @@ def _run_block(
         if not live:
             continue
         geoms = _factor_rows([scenarios[i].satellites for i in live], opts.scale)
-        dms = _squared_ranges(np.stack([scenarios[i].pseudoranges for i in live]), opts.scale)
         solved = []
-        for i, geom, dm in zip(live, geoms, dms):
+        for i, geom in zip(live, geoms):
             try:
-                for stage in (geom, dm):  # an earlier stacked stage failed this row
-                    if isinstance(stage, Exception):
-                        raise stage
+                if isinstance(geom, Exception):  # the stacked factorization failed this row
+                    raise geom
                 config, bundle = geom
+                dm = Measurement.from_ranges(scenarios[i].pseudoranges, opts.scale).dm
                 t0 = time.perf_counter()
                 y = _solver_input(dm, bundle, opts)
                 report = _dispatch(y, config, bundle, spec.method, opts)

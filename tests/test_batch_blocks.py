@@ -210,12 +210,8 @@ def test_stacked_factorization_lanes_equal_factor_anchors():
     for n in (4, 5, 6, 12):
         pts = rng.normal(size=(40, n, 3))
         raw = 2.66e7 * pts / np.linalg.norm(pts, axis=2)[:, :, None]
-        raw[7, 2, 1] = np.nan                                            # not finite
         raw[9] = np.column_stack([raw[9][:, :2], np.full(n, 1.0e6)])     # flat
         for k, lane in enumerate(factor_anchor_stack(raw)):
-            if k == 7:
-                assert isinstance(lane, BadShape)
-                continue
             if k == 9:
                 assert isinstance(lane, SingularGeometry)
                 with pytest.raises(SingularGeometry):
@@ -231,6 +227,9 @@ def test_stacked_factorization_lanes_equal_factor_anchors():
             D = np.stack([bundle.D, bundle.D])
             y = bundle.b + 1e-3 * rng.normal(size=(2, n))
             assert augmented_edm_checks(D, y) == [augmented_edm_check(bundle, v) for v in y]
+        raw[7, 2, 1] = np.nan
+        with pytest.raises(BadShape):  # one non-finite coordinate fails the whole stack
+            factor_anchor_stack(raw)
 
 
 @pytest.mark.parametrize("max_cond, attempts", [(harness.DEFAULT_MAX_COND, 1000), (8.0, 4)])
