@@ -53,11 +53,10 @@ from .harness import (
     run_batch,
     run_pipeline,
 )
-from .position import PositionFix, ResidualReport, recover_position, verify_fix
+from .position import PositionFix, recover_position
 from .report import SolveReport
 from .solver_general import (
     SecularProblemGen,
-    UnconstrainedState,
     build_secular_general,
     eval_f,
     nlp_oracle,
@@ -86,14 +85,12 @@ __all__ = [
     "PipelineOptions",
     "PoleEvaluation",
     "PositionFix",
-    "ResidualReport",
     "SatelliteConfig",
     "Scenario",
     "SecularProblemGen",
     "SingleFault",
     "SingularGeometry",
     "SolveReport",
-    "UnconstrainedState",
     "Verdict",
     "apply_noise",
     "augmented_edm_check",
@@ -118,5 +115,4 @@ __all__ = [
     "self_consistency_test",
     "solve_qcqp",
     "solve_unconstrained",
-    "verify_fix",
 ]

@@ -49,15 +49,6 @@ class PositionFix:
         }
 
 
-@dataclass(frozen=True)
-class ResidualReport:
-    """Discrepancy between a fix and a reference squared-range vector."""
-
-    max_abs_scaled: float
-    range_residuals_m: np.ndarray
-    rms_range_m: float
-
-
 def recover_position(y_star, bundle: EdmBundle, config: SatelliteConfig) -> PositionFix:
     """Solve 2 P q = |q|^2 * 1 + b - y for the unique receiver point q.
 
@@ -99,23 +90,4 @@ def position_from_coordinates(
         qtq_identity=coords.total / bundle.n,
         gale_feasible=True,
         gale_residual=gale_res,
-    )
-
-
-def verify_fix(fix: PositionFix, y_ref, config: SatelliteConfig) -> ResidualReport:
-    """Recompute squared ranges at the fix and compare against a reference vector.
-
-    Pass the solver's feasible vector to confirm the fix reproduces it, or the
-    raw measurement to see per-anchor range errors in meters.
-    """
-    y = as_vector(y_ref, config.n)
-    diff = config.P - fix.q_centered
-    y_hat = np.einsum("ij,ij->i", diff, diff)
-    ranges_hat = np.sqrt(y_hat) / config.scale
-    ranges_ref = np.sqrt(np.maximum(y, 0.0)) / config.scale
-    resid = ranges_hat - ranges_ref
-    return ResidualReport(
-        max_abs_scaled=float(np.abs(y_hat - y).max()),
-        range_residuals_m=resid,
-        rms_range_m=float(np.sqrt(np.mean(resid**2))),
     )

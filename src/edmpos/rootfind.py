@@ -1,4 +1,4 @@
-"""Safeguarded scalar root finding for the secular equation."""
+"""Safeguarded Newton iteration for the secular equation."""
 
 from __future__ import annotations
 
@@ -23,66 +23,53 @@ def find_root_increasing(
     dfun: Callable[[float], float],
     lo: float,
     hi: float,
+    x0: float,
+    f0: float,
     *,
     ftol: float,
     xtol: float,
 ) -> RootResult:
-    """Root of a strictly increasing function on the open interval (lo, hi).
+    """Root of a strictly increasing function on [lo, hi), where hi may be a pole.
 
-    Bisection keeps a sign-changing bracket at all times; a Newton step is
-    taken instead of the midpoint whenever it lands strictly inside the
-    current bracket.  Endpoints are approached but never evaluated: the
-    initial probes sit 1e-12*(hi-lo) inside and creep closer only if the sign
-    change hides in that margin.
+    The search starts at x0 in [lo, hi], where f0 = fun(x0) is already known,
+    and takes Newton steps from there.  The bracket starts as (lo, hi) and
+    shrinks to the last points where f was seen negative and positive; a step
+    that does not land strictly inside it is replaced by its midpoint.  The
+    one exception is a step that reaches lo before f was seen negative: f is
+    evaluated at lo itself, so a root on that end is found, not crept up on.
+    fun is never called at hi.
 
-    Stops when |f| <= ftol or the bracket width falls below xtol.
+    Stops when |f| <= ftol, or when the bracket is narrower than xtol with f
+    seen on both sides of it.  A bracket that closes with f of one sign only
+    holds no sign change and raises NoConvergence, as does an exhausted
+    budget.  iterations counts the evaluations of fun, f0 not included.
     """
     if not (hi > lo):
         raise NoConvergence(f"empty bracket ({lo}, {hi})")
-    span = hi - lo
-    margin = 1e-12 * span
-    a = lo + margin
-    b = hi - margin
+    a, b = lo, hi
+    below = above = False
+    x, fx = x0, f0
     evals = 0
-
-    fa = fun(a)
-    evals += 1
-    while fa > 0.0 and a - lo > 1e-300:
-        a = lo + (a - lo) / 65536.0
-        fa = fun(a)
-        evals += 1
-        if evals > 40:
-            break
-    fb = fun(b)
-    evals += 1
-    while fb < 0.0 and hi - b > 1e-300:
-        b = hi - (hi - b) / 65536.0
-        fb = fun(b)
-        evals += 1
-        if evals > 80:
-            break
-    if fa > 0.0 or fb < 0.0:
-        raise NoConvergence(
-            f"no sign change on ({lo}, {hi}): f({a})={fa}, f({b})={fb}"
-        )
-    if abs(fa) <= ftol:
-        return RootResult(a, fa, evals, (lo, hi))
-    if abs(fb) <= ftol:
-        return RootResult(b, fb, evals, (lo, hi))
-
-    x = 0.5 * (a + b)
-    for _ in range(MAX_ITER):
-        fx = fun(x)
-        evals += 1
+    while True:
         if abs(fx) <= ftol:
             return RootResult(x, fx, evals, (lo, hi))
         if fx < 0.0:
-            a = x
+            a, below = x, True
         else:
-            b = x
+            b, above = x, True
         if b - a <= xtol:
-            return RootResult(x, fx, evals, (lo, hi))
+            if below and above:
+                return RootResult(x, fx, evals, (lo, hi))
+            raise NoConvergence(f"no sign change on ({lo}, {hi}): f({x})={fx}")
+        if evals == MAX_ITER:
+            raise NoConvergence(f"root finder exhausted {MAX_ITER} iterations on ({lo}, {hi})")
         d = dfun(x)
         step = x - fx / d if d > 0.0 else None
-        x = step if step is not None and a < step < b else 0.5 * (a + b)
-    raise NoConvergence(f"root finder exhausted {MAX_ITER} iterations on ({lo}, {hi})")
+        if step is not None and a < step < b:
+            x = step
+        elif step is not None and step <= a and not below:
+            x = lo
+        else:
+            x = 0.5 * (a + b)
+        fx = fun(x)
+        evals += 1

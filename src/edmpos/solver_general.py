@@ -21,10 +21,17 @@ kappa_residual, the Gale residual of the y_star actually returned, which is
 checked exactly as position.recover_position checks it, and the offset
 1'(y_star - b) that centres y_star - b for the receiver q = -P_pinv u / 2.
 
+The secular root is found by Newton steps from lam = 0, where f = -kappa is
+already known.  f is increasing and convex on either bracket, so the
+iterates fall monotonically onto the root when kappa < 0, and overshoot it
+once and then fall back when kappa > 0: a noisy solve takes one or two
+evaluations of f.  A degenerate measurement (w has no mass on the smallest
+pole) goes to nlp_oracle only when kappa > 0, where it has lost the pole
+that bounds its bracket; when kappa < 0 it takes the ordinary root.
+
 The secular functions run on Python floats: the secular problem stores each
 pole's nu_i, w_i^2 and guard once per measurement, and eval_f and
-eval_f_prime are scalar loops over those r poles.  The root finder evaluates
-them several times per solve on length-r vectors (r = 3 in practice), where
+eval_f_prime are scalar loops over those r poles (r = 3 in practice), where
 each numpy call costs far more in dispatch than the arithmetic it does.  The
 loops keep the term order of the numpy array form they replaced, which sums a
 short vector left to right and squares an element as t * t, so eval_f gives
@@ -57,8 +64,9 @@ DEFAULT_SECULAR_TOL = 1e-13
 DEFAULT_GRAD_TOL = 1e-14
 QUARTIC_MAX_ITER = 200
 # relative distance to a pole below which the secular functions refuse to
-# evaluate; relative to each pole, because the root finder's first probe sits
-# 1e-12 * nu[-1] below the nearest one whatever the scale of nu
+# evaluate; relative to each pole, so that it means the same at every scale of
+# nu.  The root finder never evaluates the pole nu[-1] that closes the
+# kappa > 0 bracket, and lands this close to it only if the root does
 POLE_GUARD = 1e-14
 DEGENERACY_RTOL = 1e-12
 
@@ -84,7 +92,8 @@ class SecularProblemGen:
     kappa_dm: inconsistency of the measurement.
     n: anchor count.
     degenerate: True when w has no mass on the smallest eigenvalue group,
-    which removes the pole that anchors the positive-side bracket.
+    which removes the pole that anchors the positive-side bracket; the
+    negative-side bracket holds no pole and does not need it.
     poles: (nu_i, w_i**2, POLE_GUARD * nu_i) for each pole, as Python floats,
         which is all eval_f and eval_f_prime read of the arrays.
     """
@@ -200,6 +209,9 @@ def solve_qcqp(
     still well defined (the infeasible component is simply dropped) and the
     report carries the infeasibility in its verdict.  A measurement inside
     the kappa band skips root finding and uses multiplier zero directly.
+    Otherwise Newton steps start from multiplier zero; only a degenerate
+    measurement with kappa > 0 goes to nlp_oracle.  With kappa < 0 a pure
+    offset's root lies on the bracket end lam = n kappa / 8 itself.
     """
     y = as_vector(dm, bundle.n)
     coords = eigen_coordinates(y, bundle)
@@ -212,19 +224,22 @@ def solve_qcqp(
         bracket = None
         # every term of eval_f carries a factor lam, so f(0) is -kappa_dm bitwise
         secular_residual = abs(sp.kappa_dm)
+    elif sp.degenerate and sp.kappa_dm > 0.0:
+        return replace(
+            nlp_oracle(y, config, bundle=bundle, label=label),
+            method="nlp-oracle[degenerate-fallback]",
+            verdict=verdict,
+        )
     else:
-        if sp.degenerate:
-            return replace(
-                nlp_oracle(y, config, bundle=bundle, label=label),
-                method="nlp-oracle[degenerate-fallback]",
-                verdict=verdict,
-            )
         lo, hi = multiplier_bracket(sp)
+        # start at lam = 0, where f = -kappa_dm bitwise: an end of either bracket
         result = find_root_increasing(
             lambda lam: eval_f(sp, lam),
             lambda lam: eval_f_prime(sp, lam),
             lo,
             hi,
+            0.0,
+            -sp.kappa_dm,
             ftol=tol * max(1.0, abs(sp.hprime)),
             xtol=1e-15 * float(sp.nu[-1]),
         )

@@ -6,7 +6,8 @@ import pytest
 from edmpos.edm_core import build_edm, factor_anchors, factor_edm
 from edmpos.errors import BadShape, GaleInfeasible, SingularGeometry
 from edmpos.harness import GaussianSq, apply_noise, generate_scenario, prepare_scenario
-from edmpos.position import recover_position, verify_fix
+from edmpos.position import recover_position
+from fix_residuals import verify_fix
 from edmpos.solver_general import solve_qcqp
 
 

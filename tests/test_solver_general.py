@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from edmpos import solver_general
 from edmpos.consistency import Verdict, kappa, kappa_band
 from edmpos.edm_core import (
     augmented_edm_check,
@@ -21,6 +22,7 @@ from edmpos.harness import (
 )
 from edmpos.position import recover_position
 from edmpos.solver_general import (
+    DEFAULT_SECULAR_TOL,
     POLE_GUARD,
     _quartic_pieces,
     build_secular_general,
@@ -107,7 +109,7 @@ def test_scalar_kernel_matches_array_and_pole_sum_forms():
     """eval_f and eval_f_prime against the array form and the unreduced pole sum.
 
     Probes span the bracket, sit at 0, and sit 1e-12 * nu below the nearest
-    pole, where the root finder's first probe lands when kappa > 0.
+    pole, close to it but outside its guard.
     """
     checked = 0
     for sp in scalar_kernel_instances():
@@ -397,6 +399,72 @@ def projection_n4_reference(dm, bundle, config):
     return y, recover_position(y, bundle, config).q_world
 
 
+def secular_reference(dm, bundle, config):
+    """Projection through the eigenpairs of P'P itself, root by brentq.
+
+    Independent of the bundle's SVD factorization: with nu, V from eigh(P'P)
+    and w = V'P'(dm - b), lam is the root of sum_i w_i^2 lam (2 nu_i - lam) /
+    (nu_i^2 (nu_i - lam)^2) + 8 lam / n - kappa on (n kappa / 8, 0) or
+    (0, nu_min), and the projection is P V x + s 1 + b with x = w / (nu - lam)
+    and s = (1'(dm - b) - 2 lam) / n.
+    """
+    P = config.P
+    nu, V = np.linalg.eigh(P.T @ P)
+    z = dm - bundle.b
+    w = V.T @ (P.T @ z)
+    n = bundle.n
+    k = kappa(dm, bundle)
+
+    def f(lam):
+        return float(np.sum(w**2 * lam * (2.0 * nu - lam) / (nu**2 * (nu - lam) ** 2))
+                     + 8.0 * lam / n - k)
+
+    if k > 0.0:
+        hi = next(h for h in (1.0 - 10.0 ** -np.arange(1, 16)) * nu[0] if f(h) > 0.0)
+        lam = brentq(f, 0.0, hi, xtol=1e-300, maxiter=500)
+    else:
+        lam = brentq(f, n * k / 8.0, 0.0, xtol=1e-300, maxiter=500)
+    return P @ (V @ (w / (nu - lam))) + (z.sum() - 2.0 * lam) / n + bundle.b
+
+
+@pytest.mark.parametrize("n", [4, 6, 12])
+def test_newton_from_zero_is_monotone_and_matches_brentq(n, monkeypatch):
+    """Newton from lam = 0 on 2 m noisy draws: monotone iterates, y* at the brentq root.
+
+    f is increasing and convex on either bracket.  From f(0) = -kappa the
+    iterates fall monotonically onto the root when kappa < 0.  When kappa > 0
+    the first step overshoots the root and the rest fall back monotonically,
+    never crossing it again.
+    """
+    seen = []
+
+    def recording_eval_f(sp, lam):
+        value = eval_f(sp, lam)
+        seen.append((lam, value))
+        return value
+
+    monkeypatch.setattr(solver_general, "eval_f", recording_eval_f)
+    signs = set()
+    for i in range(40):
+        sc = apply_noise(generate_scenario(n, seed=500 + i), GaussianSq(2.0), seed=900 + i)
+        config, bundle, meas = prepare_scenario(sc)
+        seen.clear()
+        report = solve_qcqp(meas.dm, bundle, config=config)
+        if report.bracket is None:  # inside the kappa band: multiplier zero
+            continue
+        sp = build_secular_general(meas.dm, bundle)
+        ftol = DEFAULT_SECULAR_TOL * max(1.0, abs(sp.hprime))
+        assert len(seen) == report.iterations >= 1
+        lams = [lam for lam, _ in seen]
+        path = [0.0] + lams if sp.kappa_dm < 0.0 else lams
+        assert all(later < earlier for earlier, later in zip(path, path[1:]))
+        assert all(value >= -ftol for _, value in seen)
+        signs.add(sp.kappa_dm > 0.0)
+        ref = secular_reference(meas.dm, bundle, config)
+        assert np.linalg.norm(report.y_star - ref) <= 1e-13 * np.linalg.norm(ref)
+    assert signs == {False, True}
+
+
 def test_cross_path_four_anchors():
     """The general secular route meets the Bdag-eigenbasis parametrization on n = 4."""
     rng = np.random.default_rng(53)
@@ -452,6 +520,26 @@ def test_degenerate_measurement_falls_back():
     dm = bundle.b + 0.5 * np.ones(6)  # pure offset: no geometric component
     report = solve_qcqp(dm, bundle, config=config)
     assert report.method == "nlp-oracle[degenerate-fallback]"
+
+
+@pytest.mark.parametrize("n", [4, 6, 12])
+def test_negative_offset_takes_the_secular_root(n):
+    """b - c 1 has kappa < 0 and no geometric component, so it is degenerate.
+
+    Its bracket (n kappa / 8, 0) holds no pole, and its root is that bracket
+    end itself: the ordinary secular solve reaches it in a step or two.
+    """
+    rng = np.random.default_rng(73 + n)
+    config, bundle = make_instance(rng, n)
+    dm = bundle.b - 0.5 * np.ones(n)
+    sp = build_secular_general(dm, bundle)
+    assert sp.degenerate and sp.kappa_dm < 0.0
+    report = solve_qcqp(dm, bundle, config=config)
+    ref = nlp_oracle(dm, config, bundle=bundle)
+    assert report.method == "secular-gen"
+    assert report.iterations <= 2
+    assert report.lambda_star == pytest.approx(n * sp.kappa_dm / 8.0, rel=1e-12)
+    assert abs(report.objective - ref.objective) <= 1e-6 * ref.objective
 
 
 def test_rank_zero_geometry_rejected():
