@@ -35,7 +35,7 @@ from .edm_core import (
     factor_anchor_stack,
     factor_anchors,
 )
-from .errors import BadShape, EdmPosError, GeometryRejection, NegativeSquare
+from .errors import BadShape, GeometryRejection, NegativeSquare
 from .report import SolveReport
 from .solver_general import DEFAULT_SECULAR_TOL, nlp_oracle, solve_qcqp, solve_unconstrained
 
@@ -106,10 +106,13 @@ class Scenario:
         ranges = np.asarray(data["pseudoranges"], dtype=float)
         if sats.ndim != 2 or ranges.shape != (sats.shape[0],):
             raise BadShape("satellite and pseudorange shapes do not match")
+        dim = int(data.get("dim", sats.shape[1]))
+        if dim != sats.shape[1]:
+            raise BadShape(f"dim {dim} does not match the {sats.shape[1]}-column satellites")
         fault = data.get("fault")
         return cls(
             label=data.get("label", ""),
-            dim=int(data.get("dim", sats.shape[1])),
+            dim=dim,
             satellites=sats,
             pseudoranges=ranges,
             true_receiver=(
@@ -304,24 +307,14 @@ class PipelineOptions:
     debias: bool = False
 
 
-# factorizations run_batch made in one stack, each waiting for the memo call
-# of its row: a pure function of its key, so a lookup by any caller may take it
-_stacked: dict[tuple, tuple[SatelliteConfig, EdmBundle] | EdmPosError] = {}
-
-
 @lru_cache(maxsize=GEOMETRY_MEMO_SIZE)
 def _factor_geometry(
     data: bytes, shape: tuple[int, ...], scale: float
 ) -> tuple[SatelliteConfig, EdmBundle]:
-    # keyed by the anchors' float64 bytes, so a hit returns exactly what a
-    # fresh factorization of the same content would; a geometry that raises
-    # is not stored, and every cached array is read-only
-    entry = _stacked.pop((data, shape, scale), None)
-    if entry is None:
-        return factor_anchors(np.frombuffer(data).reshape(shape), scale)
-    if isinstance(entry, EdmPosError):
-        raise entry
-    return entry
+    # prepare_scenario's memo, keyed by the anchors' float64 bytes, so a hit
+    # returns exactly what a fresh factorization of the same content would; a
+    # geometry that raises is not stored, and every cached array is read-only
+    return factor_anchors(np.frombuffer(data).reshape(shape), scale)
 
 
 def prepare_scenario(
@@ -469,32 +462,6 @@ def _confusion_rates(conf: dict) -> dict:
     return out
 
 
-def _factor_rows(anchors: list[np.ndarray], scale: float) -> list:
-    """prepare_scenario's factorization for each row, or the EdmPosError it raises.
-
-    One factor_anchor_stack call factors every row; each row then goes
-    through the memo, which hands out a stored entry on a hit and takes the
-    row's stacked factorization on a miss, so hits, misses and the stored
-    entries are those of calling prepare_scenario row by row.
-    """
-    try:
-        lanes = factor_anchor_stack(np.stack(anchors), scale)
-    except BadShape as exc:  # a scale no row can pass
-        return [exc] * len(anchors)
-    keys = [(a.tobytes(), a.shape, scale) for a in anchors]
-    out: list = []
-    try:
-        _stacked.update(zip(keys, lanes))
-        for key in keys:
-            try:
-                out.append(_factor_geometry(*key))
-            except EdmPosError as exc:
-                out.append(exc)
-    finally:
-        _stacked.clear()
-    return out
-
-
 def _run_block(
     spec: BatchSpec, cells: list, rows: range
 ) -> list[tuple[Scenario, SolveReport, bool, float]]:
@@ -542,7 +509,11 @@ def _run_block(
         live = [i for i in idx if i not in failed]
         if not live:
             continue
-        geoms = _factor_rows([scenarios[i].satellites for i in live], opts.scale)
+        try:
+            geoms = factor_anchor_stack(np.stack([scenarios[i].satellites for i in live]),
+                                        opts.scale)
+        except BadShape as exc:  # a scale no row can pass
+            geoms = [exc] * len(live)
         solved = []
         for i, geom in zip(live, geoms):
             try:

@@ -35,7 +35,6 @@ class PositionFix:
     q_world: np.ndarray
     qtq_direct: float
     qtq_identity: float
-    gale_feasible: bool
     gale_residual: float
 
     def to_dict(self) -> dict:
@@ -44,7 +43,6 @@ class PositionFix:
             "q_centered": self.q_centered.tolist(),
             "qtq_direct": self.qtq_direct,
             "qtq_identity": self.qtq_identity,
-            "gale_feasible": self.gale_feasible,
             "gale_residual": self.gale_residual,
         }
 
@@ -88,6 +86,5 @@ def position_from_coordinates(
         q_world=q / config.scale + config.centroid,
         qtq_direct=float(q @ q),
         qtq_identity=coords.total / bundle.n,
-        gale_feasible=True,
         gale_residual=gale_res,
     )

@@ -15,7 +15,6 @@ class RootResult:
     root: float
     f_root: float
     iterations: int
-    bracket: tuple[float, float]
 
 
 def find_root_increasing(
@@ -52,14 +51,14 @@ def find_root_increasing(
     evals = 0
     while True:
         if abs(fx) <= ftol:
-            return RootResult(x, fx, evals, (lo, hi))
+            return RootResult(x, fx, evals)
         if fx < 0.0:
             a, below = x, True
         else:
             b, above = x, True
         if b - a <= xtol:
             if below and above:
-                return RootResult(x, fx, evals, (lo, hi))
+                return RootResult(x, fx, evals)
             raise NoConvergence(f"no sign change on ({lo}, {hi}): f({x})={fx}")
         if evals == MAX_ITER:
             raise NoConvergence(f"root finder exhausted {MAX_ITER} iterations on ({lo}, {hi})")

@@ -245,7 +245,7 @@ def solve_qcqp(
         )
         lam = result.root
         iterations = result.iterations
-        bracket = result.bracket
+        bracket = (lo, hi)
         secular_residual = abs(result.f_root)
         if not lam < sp.nu[-1]:
             raise NoConvergence(

@@ -98,7 +98,19 @@ def test_batch_rerun_with_warm_memo_is_byte_identical(tmp_path):
     spec = BatchSpec(count=24, n=(4, 6, 12), noise=(None, GaussianSq(2.0)), seed=31)
     cold, warm = tmp_path / "cold.csv", tmp_path / "warm.csv"
     run_batch(spec, cold)
-    hits = memo.cache_info().hits
+    info = memo.cache_info()
     run_batch(spec, warm)
-    assert memo.cache_info().hits == hits + spec.count
+    assert memo.cache_info() == info  # run_batch neither reads nor fills the memo
     assert cold.read_bytes() == warm.read_bytes()
+
+
+def test_batch_does_not_evict_a_callers_geometries():
+    # a tracking-style network of fixed beacon geometries, cached by the caller
+    network = [generate_scenario(n, seed=900 + k) for k, n in enumerate([4, 6, 12] * 8)]
+    for sc in network:
+        prepare_scenario(sc)
+    run_batch(BatchSpec(count=60, n=(4, 6, 12), noise=(None, GaussianSq(2.0)), seed=33))
+    hits = memo.cache_info().hits
+    for sc in network:
+        prepare_scenario(sc)
+    assert memo.cache_info().hits == hits + len(network)

@@ -7,6 +7,8 @@ MAX_SCALED_RANGE are refused with typed errors before any linear algebra
 sees them.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -117,6 +119,20 @@ def test_non_finite_input_is_bad_input(tmp_path, capsys, name, command):
     path = _write(tmp_path, name, sats, ranges)
     assert main([command, path]) == EXIT_BAD_INPUT
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["check", "solve"])
+def test_dim_disagreeing_with_anchors_is_bad_input(tmp_path, capsys, command):
+    data = generate_scenario(6, seed=3).to_dict()
+    data["dim"] = 2  # the satellites have 3 columns
+    with pytest.raises(BadShape):
+        Scenario.from_dict(data)
+    path = tmp_path / "dim.json"
+    path.write_text(json.dumps(data))
+    assert main([command, str(path)]) == EXIT_BAD_INPUT
+    assert "dim" in capsys.readouterr().err
+    del data["dim"]  # an absent dim is read off the satellites
+    assert Scenario.from_dict(data).dim == 3
 
 
 @pytest.mark.parametrize("name", sorted(_bad_inputs()))

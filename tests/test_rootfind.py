@@ -19,7 +19,6 @@ def test_cube_root_of_two():
         xtol=1e-16,
     )
     assert abs(result.root - 2.0 ** (1.0 / 3.0)) <= 1e-14
-    assert result.bracket == (0.0, 2.0)
     assert 0.0 < result.root < 2.0
 
 
