@@ -22,11 +22,8 @@ from .edm_core import (
     augmented_edm_check,
     build_edm,
     build_v_basis,
-    classify_edm,
-    edm_from_gram,
     factor_anchors,
     factor_edm,
-    gram_from_edm,
 )
 from .errors import (
     BadShape,
@@ -97,15 +94,12 @@ __all__ = [
     "build_edm",
     "build_secular_general",
     "build_v_basis",
-    "classify_edm",
     "classify_n4",
     "clock_bias_estimate",
-    "edm_from_gram",
     "eval_f",
     "factor_anchors",
     "factor_edm",
     "generate_scenario",
-    "gram_from_edm",
     "kappa",
     "nlp_oracle",
     "prepare_scenario",

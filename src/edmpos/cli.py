@@ -179,7 +179,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--clamp", action="store_true",
                        help="clamp negative squared pseudoranges to zero instead of failing")
     p_sim.add_argument("--timing", action="store_true",
-                       help="record real per-row wall time (breaks byte-identical reruns)")
+                       help="record each row's share of the solve's wall time "
+                            "(breaks byte-identical reruns)")
     common(p_sim)
     p_sim.set_defaults(func=_cmd_simulate)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -75,22 +76,6 @@ def build_v_basis(n: int) -> np.ndarray:
     H = np.eye(n) - (2.0 / (v @ v)) * np.outer(v, v)
     V = H[:, 1:].copy()
     return _readonly(V)
-
-
-def gram_from_edm(D: np.ndarray) -> np.ndarray:
-    """Centered Gram matrix of a squared-distance matrix: -J D J / 2."""
-    D = np.asarray(D, dtype=float)
-    n = D.shape[0]
-    J = np.eye(n) - np.full((n, n), 1.0 / n)
-    B = -0.5 * (J @ D @ J)
-    return 0.5 * (B + B.T)
-
-
-def edm_from_gram(B: np.ndarray) -> np.ndarray:
-    """Squared-distance matrix of a Gram matrix: diag*1' + 1*diag' - 2B."""
-    B = np.asarray(B, dtype=float)
-    b = np.diag(B)
-    return b[:, None] + b[None, :] - 2.0 * B
 
 
 @dataclass(frozen=True)
@@ -206,21 +191,37 @@ def factor_anchors(
     raw = np.asarray(raw_points, dtype=float)
     if raw.ndim != 2:
         raise BadShape(f"expected a 2-D point array of r >= 1 columns, got shape {raw.shape}")
-    lane = factor_anchor_stack(raw[None], scale)[0]
+    lane = factor_anchor_stack(raw[None], scale).lanes[0]
     if isinstance(lane, Exception):
         raise lane
     return lane
 
 
-def factor_anchor_stack(
-    raw_points: np.ndarray, scale: float = DEFAULT_SCALE
-) -> list[tuple[SatelliteConfig, EdmBundle] | SingularGeometry]:
+class AnchorStack(NamedTuple):
+    """What factor_anchor_stack makes of B anchor sets: per-lane results and the stacks behind them.
+
+    lanes[k] is the (SatelliteConfig, EdmBundle) of anchor set k, or the
+    SingularGeometry factor_anchors would raise for it.  The other fields
+    are the read-only (B, ...) stacks whose rows the lanes' arrays are views
+    of.  A rejected lane's rows are finite and meaningless.
+    """
+
+    lanes: list[tuple[SatelliteConfig, EdmBundle] | SingularGeometry]
+    centroid: np.ndarray
+    P_pinv: np.ndarray
+    b: np.ndarray
+    delta: np.ndarray
+    P_eigen: np.ndarray
+    E: np.ndarray
+
+
+def factor_anchor_stack(raw_points: np.ndarray, scale: float = DEFAULT_SCALE) -> AnchorStack:
     """factor_anchors for a (B, n, r) stack of anchor sets, with one stacked SVD.
 
     Lane k of the result is bitwise what factor_anchors(raw_points[k]) returns,
     or the SingularGeometry it would raise; every lane's arrays are read-only
-    views into shared stacks.  A shape, scale or non-finite coordinate raises
-    BadShape for the whole stack.
+    views into the stacks the result also carries.  A shape, scale or
+    non-finite coordinate raises BadShape for the whole stack.
     """
     raw = np.asarray(raw_points, dtype=float)
     if raw.ndim != 3 or raw.shape[2] < 1:
@@ -245,9 +246,10 @@ def factor_anchor_stack(
     s_div = svals if all(ok) else np.where(np.array(ok)[:, None], svals, 1.0)
     P_pinv = (Wt.transpose(0, 2, 1) / s_div[:, None, :]) @ VU[:, :, :r].transpose(0, 2, 1)
     P_pinv = 2.0 * P_pinv - P_pinv @ P @ P_pinv
-    bundles = _finish_bundles(
-        _squared_distances(P), np.einsum("bij,bij->bi", P, P), VU[:, :, r:], delta,
-        VU[:, :, :r] * svals[:, None, :])
+    b = np.einsum("bij,bij->bi", P, P)
+    P_eigen = VU[:, :, :r] * svals[:, None, :]
+    E = _measurement_operator(P_eigen, VU[:, :, r:])
+    bundles = _finish_bundles(_squared_distances(P), b, VU[:, :, r:], delta, P_eigen, E)
     for a in (P, centroid, P_pinv):
         _readonly(a)
     out = []
@@ -260,7 +262,8 @@ def factor_anchor_stack(
         else:
             out.append((SatelliteConfig(P=P[k], centroid=centroid[k], n=n, r=r,
                                         scale=float(scale), P_pinv=P_pinv[k]), bundle))
-    return out
+    return AnchorStack(lanes=out, centroid=centroid, P_pinv=P_pinv, b=b, delta=delta,
+                       P_eigen=P_eigen, E=E)
 
 
 def factor_edm(D: np.ndarray) -> EdmBundle:
@@ -292,22 +295,28 @@ def factor_edm(D: np.ndarray) -> EdmBundle:
     B = 0.5 * (B + B.T)
     b = np.diag(B).copy()
     P_eigen = (V @ evecs[:, :r]) * np.sqrt(delta)
-    return _finish_bundles(D[None], b[None], (V @ evecs[:, r:])[None], delta[None],
-                           P_eigen[None])[0]
+    Z = V @ evecs[:, r:]
+    return _finish_bundles(D[None], b[None], Z[None], delta[None], P_eigen[None],
+                           _measurement_operator(P_eigen[None], Z[None]))[0]
+
+
+def _measurement_operator(P_eigen: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """The (B, n, n) stack of operators E = [P_eigen'; Z'; 1'] (see EdmBundle)."""
+    lanes, n, _ = P_eigen.shape
+    # concatenate keeps the layout of its inputs, which sets how E @ z sums
+    return np.concatenate(
+        [P_eigen.transpose(0, 2, 1), Z.transpose(0, 2, 1), np.ones((lanes, 1, n))], axis=1)
 
 
 def _finish_bundles(
-    D: np.ndarray, b: np.ndarray, Z: np.ndarray, delta: np.ndarray, P_eigen: np.ndarray
+    D: np.ndarray, b: np.ndarray, Z: np.ndarray, delta: np.ndarray, P_eigen: np.ndarray,
+    E: np.ndarray,
 ) -> list[EdmBundle]:
     """Assemble either route's (B, ...) stacked parts into read-only per-lane bundles.
 
-    Adds the operator E, delta_sq and b_norm; each bundle's arrays are views
-    into the stacks.
+    Adds delta_sq and b_norm; each bundle's arrays are views into the stacks.
     """
-    lanes, n, r = P_eigen.shape
-    # concatenate keeps the layout of its inputs, which sets how E @ z sums
-    E = np.concatenate(
-        [P_eigen.transpose(0, 2, 1), Z.transpose(0, 2, 1), np.ones((lanes, 1, n))], axis=1)
+    lanes, _, r = P_eigen.shape
     for a in (D, b, Z, delta, P_eigen, E):
         _readonly(a)
     delta_sq = (delta * delta).tolist()
@@ -325,19 +334,6 @@ def _classify_eigs(evals: np.ndarray) -> list[EdmClass]:
     dims = np.count_nonzero(evals > thr[:, None], axis=1).tolist()
     return [EdmClass.not_edm(low) if low < -t else EdmClass.edm_of_dim(k)
             for low, t, k in zip(lo, thr.tolist(), dims)]
-
-
-def classify_edm(D: np.ndarray) -> EdmClass:
-    """Decide whether D is a squared-distance matrix and of which dimension.
-
-    The test matrix is -V' D V: D is a distance matrix exactly when that
-    matrix is positive semidefinite, and the embedding dimension is its rank.
-    """
-    D = _check_hollow_symmetric(D)
-    V = build_v_basis(D.shape[0])
-    M = -(V.T @ D @ V)
-    M = 0.5 * (M + M.T)
-    return _classify_eigs(np.linalg.eigh(M[None])[0])[0]
 
 
 def augmented_edm_check(bundle: EdmBundle, y: np.ndarray) -> EdmClass:

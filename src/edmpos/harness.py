@@ -18,6 +18,7 @@ import time
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,7 +38,13 @@ from .edm_core import (
 )
 from .errors import BadShape, GeometryRejection, NegativeSquare
 from .report import SolveReport
-from .solver_general import DEFAULT_SECULAR_TOL, nlp_oracle, solve_qcqp, solve_unconstrained
+from .solver_general import (
+    DEFAULT_SECULAR_TOL,
+    nlp_oracle,
+    solve_qcqp,
+    solve_qcqp_block,
+    solve_unconstrained,
+)
 
 SCENARIO_SCHEMA = "edmpos-scenario/1"
 
@@ -388,7 +395,10 @@ class BatchSpec:
     noise models (None = clean) is assigned round-robin.  timing=True records
     per-row wall time in the CSV, which makes reruns byte-unequal; with the
     default of False the column is written as 0 and equal seeds produce
-    byte-identical CSV files.
+    byte-identical CSV files.  A row's wall time is its share of the solve:
+    for a row solve_qcqp_block returns, that call's time divided evenly over
+    the rows it returned; for a row solved alone (handed back by the block,
+    or with another method or debiasing), its own solver input and solve.
     """
 
     count: int
@@ -462,19 +472,37 @@ def _confusion_rates(conf: dict) -> dict:
     return out
 
 
-def _run_block(
-    spec: BatchSpec, cells: list, rows: range
-) -> list[tuple[Scenario, SolveReport, bool, float]]:
-    """(scenario, report, oracle_faulty, wall) for each row of one block, in row order.
+class _Row(NamedTuple):
+    """One solved batch row: what its CSV line and the summary read.
+
+    pos_err_m is the fix's distance from the true receiver; wall is in
+    seconds (see BatchSpec).
+    """
+
+    label: str
+    kappa: float
+    tag: Verdict
+    lambda_star: float | None
+    iterations: int
+    method: str
+    pos_err_m: float
+    oracle_faulty: bool
+    wall: float
+
+
+def _run_block(spec: BatchSpec, cells: list, rows: range) -> list[_Row]:
+    """The solved rows of one block, in row order.
 
     Generation, factoring and the eigenvalue oracle run once over all rows
-    of one anchor count; noise, the range screen, the solver input and the
-    solve run row by row, and wall times the last two.  oracle_faulty
-    means the oracle does not extend the anchors at dimension r with the
-    solver's input vector.  Each row draws from its own generator exactly
-    what it would alone.  A row that fails skips its later stages, and the
-    block then raises the error of the first failing row, as a row-by-row
-    loop would.
+    of one anchor count, and so does the solve with method auto or secular
+    and no debiasing: solve_qcqp_block takes the group's rows at once, and
+    solve_qcqp (through _dispatch) only the lanes it hands back.  Other
+    methods, and debiasing, solve row by row.  Noise, the range screen and
+    the solver input stay per row.  oracle_faulty means the oracle does not
+    extend the anchors at dimension r with the solver's input vector.  Each
+    row draws from its own generator exactly what it would alone.  A row
+    that fails skips its later stages, and the block then raises the error
+    of the first failing row, as a row-by-row loop would.
     """
     opts = spec.options
     failed: dict[int, Exception] = {}
@@ -504,35 +532,68 @@ def _run_block(
             except Exception as exc:
                 failed[i] = exc
 
+    in_block = spec.method in ("auto", "secular") and not opts.debias
     done = {}
     for idx in groups.values():
         live = [i for i in idx if i not in failed]
         if not live:
             continue
         try:
-            geoms = factor_anchor_stack(np.stack([scenarios[i].satellites for i in live]),
+            stack = factor_anchor_stack(np.stack([scenarios[i].satellites for i in live]),
                                         opts.scale)
+            geoms = stack.lanes
         except BadShape as exc:  # a scale no row can pass
             geoms = [exc] * len(live)
-        solved = []
-        for i, geom in zip(live, geoms):
+        ready = []  # (row, stack lane, geometry, squared ranges)
+        for k, (i, geom) in enumerate(zip(live, geoms)):
             try:
                 if isinstance(geom, Exception):  # the stacked factorization failed this row
                     raise geom
-                config, bundle = geom
                 dm = Measurement.from_ranges(scenarios[i].pseudoranges, opts.scale).dm
+                ready.append((i, k, geom, dm))
+            except Exception as exc:
+                failed[i] = exc
+        if not ready:
+            continue
+        solved = {}  # row -> (its _Row, oracle verdict pending; the solver input)
+        if in_block:
+            lanes = [k for _, k, _, _ in ready]
+            t0 = time.perf_counter()
+            block = solve_qcqp_block(np.stack([dm for *_, dm in ready]), stack, lanes,
+                                     opts.secular_tol, kappa_tol=opts.kappa_tol)
+            share = (time.perf_counter() - t0) / max(1, int(block.plain.sum()))
+            miss = (block.q / float(opts.scale) + stack.centroid[lanes]
+                    - np.stack([scenarios[i].true_receiver for i, *_ in ready]))
+            # np.linalg.norm(v) is sqrt(v @ v); the stacked matmul gives each lane's v @ v
+            pos_err = np.sqrt((miss[:, None, :] @ miss[:, :, None])[:, 0, 0])
+            for (i, *_, dm), plain, kappa, tag, lam, iters, err in zip(
+                    ready, block.plain.tolist(), block.kappa.tolist(), block.tag,
+                    block.lam.tolist(), block.iterations.tolist(), pos_err.tolist()):
+                if plain:
+                    solved[i] = (_Row(scenarios[i].label, kappa, tag, lam, iters, "secular-gen",
+                                      err, False, share), dm)
+        for i, _, (config, bundle), dm in ready:
+            if i in solved:
+                continue
+            try:
                 t0 = time.perf_counter()
                 y = _solver_input(dm, bundle, opts)
                 report = _dispatch(y, config, bundle, spec.method, opts)
-                solved.append((i, bundle, y, report, time.perf_counter() - t0))
+                wall = time.perf_counter() - t0
             except Exception as exc:
                 failed[i] = exc
-        if solved:
-            oracles = augmented_edm_checks(np.stack([row[1].D for row in solved]),
-                                           np.stack([row[2] for row in solved]))
-            for (i, bundle, _, report, wall), oracle in zip(solved, oracles):
-                oracle_faulty = not (oracle.is_edm and oracle.dim == bundle.r)
-                done[i] = (scenarios[i], report, oracle_faulty, wall)
+                continue
+            v = report.verdict
+            err = float(np.linalg.norm(report.q - scenarios[i].true_receiver))
+            solved[i] = (_Row(scenarios[i].label, v.kappa, v.tag, report.lambda_star,
+                              report.iterations, report.method, err, False, wall), y)
+        order = [(i, geom[1]) for i, _, geom, _ in ready if i in solved]
+        if order:
+            oracles = augmented_edm_checks(np.stack([bundle.D for _, bundle in order]),
+                                           np.stack([solved[i][1] for i, _ in order]))
+            for (i, bundle), oracle in zip(order, oracles):
+                faulty = not (oracle.is_edm and oracle.dim == bundle.r)
+                done[i] = solved[i][0]._replace(oracle_faulty=faulty)
     if failed:
         raise failed[min(failed)]
     return [done[i] for i in rows]
@@ -563,35 +624,30 @@ def run_batch(spec: BatchSpec, out_path=None) -> BatchStats:
 
     for start in range(0, spec.count, BATCH_BLOCK):
         block = range(start, min(start + BATCH_BLOCK, spec.count))
-        for i, (sc, report, oracle_faulty, wall) in zip(block, _run_block(spec, cells, block)):
+        for i, row in zip(block, _run_block(spec, cells, block)):
             n = cells[i % len(cells)][0]
-            wall_all.append(wall)
-            kappa_faulty = report.verdict.tag is not Verdict.SELF_CONSISTENT
-            if kappa_faulty:
-                key = "tp" if oracle_faulty else "fp"
+            wall_all.append(row.wall)
+            if row.tag is not Verdict.SELF_CONSISTENT:
+                key = "tp" if row.oracle_faulty else "fp"
             else:
-                key = "fn" if oracle_faulty else "tn"
+                key = "fn" if row.oracle_faulty else "tn"
             conf[key] += 1
             per_n[n]["conf"][key] += 1
             per_n[n]["count"] += 1
-            iters_all.append(report.iterations)
-
-            pos_err = None
-            if sc.true_receiver is not None:
-                pos_err = float(np.linalg.norm(report.q - sc.true_receiver))
-                errors_all.append(pos_err)
-                per_n[n]["errors"].append(pos_err)
+            iters_all.append(row.iterations)
+            errors_all.append(row.pos_err_m)
+            per_n[n]["errors"].append(row.pos_err_m)
 
             rows.append([
-                sc.label,
+                row.label,
                 n,
-                float(report.verdict.kappa),
-                report.verdict.tag.value,
-                float(report.lambda_star) if report.lambda_star is not None else None,
-                pos_err,
-                report.iterations,
-                report.method,
-                int(round(wall * 1e6)) if spec.timing else 0,
+                float(row.kappa),
+                row.tag.value,
+                float(row.lambda_star) if row.lambda_star is not None else None,
+                row.pos_err_m,
+                row.iterations,
+                row.method,
+                int(round(row.wall * 1e6)) if spec.timing else 0,
             ])
 
     if out_path is not None:

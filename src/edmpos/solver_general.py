@@ -35,26 +35,34 @@ eval_f_prime are scalar loops over those r poles (r = 3 in practice), where
 each numpy call costs far more in dispatch than the arithmetic it does.  The
 loops keep the term order of the numpy array form they replaced, which sums a
 short vector left to right and squares an element as t * t, so eval_f gives
-the same floats.
+the same floats.  solve_qcqp_block runs solve_qcqp's steps once over many
+measurements, each on its own geometry, where the dispatch is paid once per
+step instead of once per measurement; it computes the same floats lane by
+lane and hands every lane it cannot match to solve_qcqp.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import least_squares
 
 from .consistency import (
+    DEFAULT_GALE_TOL,
     DEFAULT_KAPPA_TOL,
+    GALE_NORM_FLOOR,
     EigenCoordinates,
+    Verdict,
     as_vector,
     eigen_coordinates,
     self_consistency_test,
     verdict_of,
 )
-from .edm_core import EdmBundle, SatelliteConfig
+from .edm_core import AnchorStack, EdmBundle, SatelliteConfig
 from .errors import NoConvergence, PoleEvaluation, SingularGeometry
 from .position import position_from_coordinates
 from .report import SolveReport
@@ -69,6 +77,18 @@ QUARTIC_MAX_ITER = 200
 # kappa > 0 bracket, and lands this close to it only if the root does
 POLE_GUARD = 1e-14
 DEGENERACY_RTOL = 1e-12
+# poles within this relative distance of the smallest form its bottom group
+BOTTOM_GROUP_RTOL = 1e-9
+# the root finder's xtol, relative to the smallest pole
+ROOT_XTOL = 1e-15
+# solve_qcqp_block hands a lane to solve_qcqp once it has taken this many
+# evaluations of f without converging; a noisy solve takes one to three
+BLOCK_MAX_EVALS = 8
+# ... and when its kappa lies this close (relative) to its band, or its Gale
+# residual or that of its y_star to DEFAULT_GALE_TOL: the block sums the band
+# and the Gale norms in another order than the scalar path, so only a
+# comparison this far from equality is sure to come out the same
+BLOCK_THRESHOLD_RTOL = 1e-12
 
 # multi-start constants for the oracle: one centroid start plus 8 directions
 # at a tenth of the anchor bounding-box diagonal, drawn from a fixed stream
@@ -117,7 +137,7 @@ def _secular_problem(coords: EigenCoordinates, bundle: EdmBundle) -> SecularProb
         raise SingularGeometry("anchor geometry has rank zero")
     nu = bundle.delta
     nus = nu.tolist()
-    bottom_edge = nus[-1] * (1.0 + 1e-9)
+    bottom_edge = nus[-1] * (1.0 + BOTTOM_GROUP_RTOL)
     mass = bottom_mass = 0.0
     poles = []
     for nui, wi in zip(nus, coords.w):
@@ -163,7 +183,9 @@ def eval_f_prime(sp: SecularProblemGen, lam: float) -> float:
         t = nu - lam
         if abs(t) < guard:
             raise PoleEvaluation(f"multiplier {lam} is too close to a pole")
-        total += w2 / t**3
+        # t * t * t, not t**3: numpy's power and Python's differ in the last
+        # bit, and solve_qcqp_block must take the same Newton steps
+        total += w2 / (t * t * t)
     return float(2.0 * total + 8.0 / sp.n)
 
 
@@ -241,7 +263,7 @@ def solve_qcqp(
             0.0,
             -sp.kappa_dm,
             ftol=tol * max(1.0, abs(sp.hprime)),
-            xtol=1e-15 * float(sp.nu[-1]),
+            xtol=ROOT_XTOL * float(sp.nu[-1]),
         )
         lam = result.root
         iterations = result.iterations
@@ -265,6 +287,190 @@ def solve_qcqp(
         secular_residual=secular_residual,
         bracket=bracket,
     )
+
+
+class SecularBlock(NamedTuple):
+    """solve_qcqp's results for the B lanes of one solve_qcqp_block call.
+
+    Where plain[j] is True, lane j's kappa, tag, lam, iterations, y_star and
+    q (the fix's q_centered) are bitwise what solve_qcqp reports for it, with
+    method "secular-gen".  A lane that is not plain must go to solve_qcqp,
+    which solves it or raises; its entries here mean nothing.
+    """
+
+    plain: np.ndarray
+    kappa: np.ndarray
+    tag: list[Verdict]
+    lam: np.ndarray
+    iterations: np.ndarray
+    y_star: np.ndarray
+    q: np.ndarray
+
+
+_TAGS = (Verdict.SELF_CONSISTENT, Verdict.FAULTY_POSITIVE, Verdict.FAULTY_NEGATIVE,
+         Verdict.GALE_INFEASIBLE)
+
+
+def solve_qcqp_block(
+    Y: np.ndarray,
+    stack: AnchorStack,
+    lanes: list[int],
+    tol: float = DEFAULT_SECULAR_TOL,
+    *,
+    kappa_tol: float = DEFAULT_KAPPA_TOL,
+) -> SecularBlock:
+    """solve_qcqp for B measurements at once: row j of Y on geometry stack.lanes[lanes[j]].
+
+    lanes lists B of the stack's lane numbers, none of them a rejected lane.
+    Each step of solve_qcqp runs once over (B, ...) arrays, with the same
+    floating-point operations in the same order: the products with E,
+    P_eigen and P_pinv are stacked matmuls, which give the per-lane
+    products' bits, and sums over the r poles run left to right.  The root
+    finder is find_root_increasing's Newton iteration from lam = 0, masked
+    lane by lane.  Only the kappa band and the Gale residuals are summed
+    differently, and they only feed comparisons (see BLOCK_THRESHOLD_RTOL).
+
+    A lane is not plain when solve_qcqp would leave the secular root, might
+    raise, or could compare differently: a degenerate measurement with
+    kappa > 0, a pole guard hit, a bracket that closes without a sign
+    change, a root not found in BLOCK_MAX_EVALS evaluations, one past the
+    curvature bound, a y_star whose Gale residual is too large, and a kappa
+    or Gale residual near its threshold.
+    """
+    E, b, nu, P_eigen, P_pinv = (
+        a[lanes] for a in (stack.E, stack.b, stack.delta, stack.P_eigen, stack.P_pinv))
+    n = Y.shape[1]
+    r = nu.shape[1]
+    b_norm = np.sqrt(_products(b[:, None, :], b)[:, 0])
+    z = Y - b
+    c = _products(E, z)
+    norm = np.sqrt(_products(z[:, None, :], z)[:, 0])
+    w, total = c[:, :r], c[:, -1]
+    w2 = w * w
+    quad = _pole_sum(w2 / (nu * nu))
+    # the degeneracy test of _secular_problem: the mass of w on the bottom pole group
+    bottom = _pole_sum(np.where(nu <= nu[:, -1:] * (1.0 + BOTTOM_GROUP_RTOL), w2, 0.0))
+    degenerate = np.sqrt(bottom) <= DEGENERACY_RTOL * np.maximum(np.sqrt(_pole_sum(w2)), norm)
+    hprime = (4.0 / n) * total
+    kappa = hprime - quad
+    band = kappa_tol * np.maximum(1.0, np.add.reduce(np.abs(Y), axis=1) / n)
+    gale = _gale_block(c[:, r:-1], norm, b_norm)
+    near = BLOCK_THRESHOLD_RTOL
+    short = np.abs(kappa) <= band
+    hand = ((np.abs(np.abs(kappa) - band) <= near * band)
+            | (np.abs(gale - DEFAULT_GALE_TOL) <= near * DEFAULT_GALE_TOL)
+            | (~short & degenerate & (kappa > 0.0)))
+    lam = np.zeros(kappa.shape)
+    iterations = np.zeros(kappa.shape, dtype=int)
+    rows = np.flatnonzero(~short & ~hand)
+    if rows.size:
+        root, evals, found = _secular_roots(nu[rows], w2[rows], kappa[rows], hprime[rows], n, tol)
+        lam[rows], iterations[rows] = root, evals
+        hand[rows[~found]] = True
+    hand |= ~(lam < nu[:, -1])
+
+    x = w / (nu - lam[:, None])
+    s = (hprime * n / 4.0 - 2.0 * lam) / n
+    y_star = _products(P_eigen, x) + s[:, None] + b
+    # the tail of solve_qcqp's report: y_star's coordinates, its Gale check, q
+    z = y_star - b
+    c = _products(E, z)
+    norm = np.sqrt(_products(z[:, None, :], z)[:, 0])
+    hand |= _gale_block(c[:, r:-1], norm, b_norm) >= (1.0 - near) * DEFAULT_GALE_TOL
+    q = -0.5 * _products(P_pinv, z - (c[:, -1] / n)[:, None])
+    code = np.where(gale > DEFAULT_GALE_TOL, 3, np.where(short, 0, np.where(kappa > 0.0, 1, 2)))
+    return SecularBlock(plain=~hand, kappa=kappa, tag=[_TAGS[k] for k in code.tolist()],
+                        lam=lam, iterations=iterations, y_star=y_star, q=q)
+
+
+def _products(A: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """(B, m) rows A[j] @ v[j], as a stacked matmul: the bits of each lane's own product."""
+    return (A @ v[:, :, None])[:, :, 0]
+
+
+def _pole_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum a (B, r) array over its poles left to right from 0.0, as the scalar loops do."""
+    total = 0.0
+    for i in range(terms.shape[1]):
+        total = total + terms[:, i]
+    return total
+
+
+def _gale_block(null: np.ndarray, norm: np.ndarray, b_norm: np.ndarray) -> np.ndarray:
+    """consistency._gale_of for each lane, to a few ulps (not its bits)."""
+    ref = np.maximum(norm, GALE_NORM_FLOOR * b_norm)
+    # a zero ref means z = 0, whose residual is 0 either way
+    g = null / np.where(ref > 0.0, ref, 1.0)[:, None]
+    return np.sqrt(np.add.reduce(g * g, axis=1))
+
+
+def _secular_roots(nu, w2, kappa, hprime, n: int, tol: float):
+    """find_root_increasing on each lane's secular function from (0, -kappa), vectorised.
+
+    The brackets, tolerances and step rule are solve_qcqp's and
+    find_root_increasing's, lane by lane: a Newton step that leaves the
+    bracket is replaced by its midpoint, or by lo itself when it reaches lo
+    before f was seen negative.  Returns (root, evaluations, found); found
+    is False for a lane that hit a pole guard, closed its bracket without a
+    sign change, or did not converge in BLOCK_MAX_EVALS evaluations.
+    """
+    count = kappa.shape[0]
+    root = np.zeros(count)
+    evals_at = np.zeros(count, dtype=int)
+    found = np.zeros(count, dtype=bool)
+    positive = kappa > 0.0
+    lo = np.where(positive, 0.0, n * kappa / 8.0)
+    hi = np.where(positive, nu[:, -1], 0.0)
+    # the lanes still iterating; _keep drops the others from every array
+    it = SimpleNamespace(
+        idx=np.arange(count), lo=lo, a=lo, b=hi, x=np.zeros(count), fx=-kappa,
+        below=np.zeros(count, dtype=bool), above=np.zeros(count, dtype=bool), nu=nu, w2=w2,
+        guard=POLE_GUARD * nu, kappa=kappa, ftol=tol * np.maximum(1.0, np.abs(hprime)),
+        xtol=ROOT_XTOL * nu[:, -1])
+    _keep(it, hi > lo)
+    for evals in range(BLOCK_MAX_EVALS + 1):
+        conv = np.abs(it.fx) <= it.ftol
+        neg = it.fx < 0.0
+        it.a = np.where(neg, it.x, it.a)
+        it.b = np.where(neg, it.b, it.x)
+        it.below = it.below | neg
+        it.above = it.above | ~neg
+        narrow = ~conv & (it.b - it.a <= it.xtol)
+        done = conv | (narrow & it.below & it.above)
+        if done.any():
+            lanes = it.idx[done]
+            root[lanes], evals_at[lanes], found[lanes] = it.x[done], evals, True
+        going = ~(conv | narrow)
+        if evals == BLOCK_MAX_EVALS or not going.any():
+            break
+        _keep(it, going)
+        t = _pole_gaps(it)
+        # f' >= 8/n > 0 inside the bracket, so every step is a number
+        step = it.x - it.fx / (2.0 * _pole_sum(it.w2 / (t * t * t)) + 8.0 / n)
+        it.x = np.where((it.a < step) & (step < it.b), step,
+                        np.where((step <= it.a) & ~it.below, it.lo, 0.5 * (it.a + it.b)))
+        t = _pole_gaps(it)
+        x = it.x[:, None]
+        it.fx = (_pole_sum(it.w2 * x * (2.0 * it.nu - x) / (it.nu * it.nu * (t * t)))
+                 + (8.0 / n) * it.x - it.kappa)
+    return root, evals_at, found
+
+
+def _keep(lanes: SimpleNamespace, mask: np.ndarray) -> None:
+    """Keep only the lanes where mask holds, in every array of lanes."""
+    if not mask.all():
+        vars(lanes).update({k: v[mask] for k, v in vars(lanes).items()})
+
+
+def _pole_gaps(lanes: SimpleNamespace) -> np.ndarray:
+    """nu - x for each lane and pole, after dropping the lanes eval_f would refuse (pole guard)."""
+    t = lanes.nu - lanes.x[:, None]
+    hit = np.abs(t) < lanes.guard
+    if hit.any():
+        clear = ~hit.any(axis=1)
+        _keep(lanes, clear)
+        t = t[clear]
+    return t
 
 
 @dataclass(frozen=True)

@@ -211,7 +211,7 @@ def test_stacked_factorization_lanes_equal_factor_anchors():
         pts = rng.normal(size=(40, n, 3))
         raw = 2.66e7 * pts / np.linalg.norm(pts, axis=2)[:, :, None]
         raw[9] = np.column_stack([raw[9][:, :2], np.full(n, 1.0e6)])     # flat
-        for k, lane in enumerate(factor_anchor_stack(raw)):
+        for k, lane in enumerate(factor_anchor_stack(raw).lanes):
             if k == 9:
                 assert isinstance(lane, SingularGeometry)
                 with pytest.raises(SingularGeometry):

@@ -3,16 +3,14 @@
 import numpy as np
 import pytest
 
+from edm_helpers import classify_edm, edm_from_gram, gram_from_edm
 from edmpos.edm_core import (
     EdmClass,
     augmented_edm_check,
     build_edm,
     build_v_basis,
-    classify_edm,
-    edm_from_gram,
     factor_anchors,
     factor_edm,
-    gram_from_edm,
 )
 from edmpos.errors import BadShape, NotAnEdm, SingularGeometry
 
