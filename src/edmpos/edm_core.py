@@ -9,8 +9,9 @@ positions are mapped back to meters by undoing the scale and the translation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -27,6 +28,11 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _norm(v: np.ndarray) -> float:
+    """np.linalg.norm(v) of a 1-D float vector, bit for bit: it is sqrt(v.dot(v))."""
+    return math.sqrt(v.dot(v))
+
+
 @dataclass(frozen=True)
 class SatelliteConfig:
     """Centered, scaled anchor coordinates plus the bookkeeping to undo both.
@@ -36,7 +42,7 @@ class SatelliteConfig:
     P_pinv is the (r, n) position operator, the pseudoinverse of P, taken
     from the same SVD that decided the rank and refined by one Newton-Schulz
     step (see factor_anchors), so every position solve on this geometry is
-    one matrix-vector product.  A configuration from factor_anchor_stack
+    one matrix-vector product.  A configuration from AnchorStack.lane
     holds read-only views into that stack's arrays.
     """
 
@@ -117,7 +123,6 @@ class EdmBundle:
     and those of Z up to a rotation.
 
     Fields:
-        D: the (n, n) squared-distance matrix itself.
         b: diagonal of B, the squared norms of the centred anchors.
         Z: orthonormal basis of the null space of [P 1]', (n, n-1-r); empty
            when n = r + 1.  V times the eigenvectors of X (or the left
@@ -136,9 +141,14 @@ class EdmBundle:
         delta_sq: delta**2 as Python floats, the weights of the pseudoinverse
             quadratic form z' B^+ z = sum_i w_i**2 / delta_i**2.
         b_norm: |b|, the floor reference of the Gale residual.
+        points: on the SVD route, the (n, r) centred anchors P that D is
+            built from; None on the eigh route, whose D is the one given.
+
+    D, the (n, n) squared-distance matrix itself, is lazy: only the
+    eigenvalue oracle reads it, so the SVD route builds it (bitwise
+    build_edm of the configuration, read-only) the first time it is read.
     """
 
-    D: np.ndarray
     b: np.ndarray
     Z: np.ndarray
     r: int
@@ -147,10 +157,15 @@ class EdmBundle:
     E: np.ndarray
     delta_sq: tuple[float, ...]
     b_norm: float
+    points: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def D(self) -> np.ndarray:
+        return _readonly(_squared_distances(self.points[None])[0])
 
     @property
     def n(self) -> int:
-        return self.D.shape[0]
+        return self.b.shape[0]
 
 
 def _check_hollow_symmetric(D: np.ndarray) -> np.ndarray:
@@ -175,11 +190,11 @@ def factor_anchors(
     position operator P_pinv = W S^-1 (V U_r)', and the bundle with
     delta = S**2, P_eigen = V U_r S and the Gale basis Z = V U_{r:} (the
     trailing left singular vectors, which is why the SVD is of V'P rather
-    than of P).  b is the squared row norms of P and D = build_edm(config).
-    P_pinv then takes one Newton-Schulz step, X <- 2X - X P X: the SVD's
-    product carries round-off that puts some exact four-anchor fixes over
-    1e-6 m from the truth, and the step cuts the largest entry of
-    P_pinv P - I about fourfold at n = 4.
+    than of P).  b is the squared row norms of P; D = build_edm(config) is
+    built on first read.  P_pinv then takes one Newton-Schulz step,
+    X <- 2X - X P X: the SVD's product carries round-off that puts some
+    exact four-anchor fixes over 1e-6 m from the truth, and the step cuts
+    the largest entry of P_pinv P - I about fourfold at n = 4.
 
     This is the one-lane case of factor_anchor_stack.  Raises BadShape if
     the points have no coordinates, fewer than r+1 points are given or a
@@ -191,37 +206,60 @@ def factor_anchors(
     raw = np.asarray(raw_points, dtype=float)
     if raw.ndim != 2:
         raise BadShape(f"expected a 2-D point array of r >= 1 columns, got shape {raw.shape}")
-    lane = factor_anchor_stack(raw[None], scale).lanes[0]
+    lane = factor_anchor_stack(raw[None], scale).lane(0)
     if isinstance(lane, Exception):
         raise lane
     return lane
 
 
 class AnchorStack(NamedTuple):
-    """What factor_anchor_stack makes of B anchor sets: per-lane results and the stacks behind them.
+    """What factor_anchor_stack makes of B anchor sets: read-only (B, ...) stacks.
 
-    lanes[k] is the (SatelliteConfig, EdmBundle) of anchor set k, or the
-    SingularGeometry factor_anchors would raise for it.  The other fields
-    are the read-only (B, ...) stacks whose rows the lanes' arrays are views
-    of.  A rejected lane's rows are finite and meaningless.
+    Row k of each stack belongs to anchor set k: its centroid (meters), the
+    centred, scaled anchors P, the position operator P_pinv, and the bundle
+    arrays b, delta, P_eigen, Z and E (see EdmBundle).  ok[k] is False when
+    the set failed the rank cut; a rejected row is finite and meaningless.
+    No per-lane object exists until lane(k) builds it.
     """
 
-    lanes: list[tuple[SatelliteConfig, EdmBundle] | SingularGeometry]
     centroid: np.ndarray
+    P: np.ndarray
     P_pinv: np.ndarray
     b: np.ndarray
     delta: np.ndarray
     P_eigen: np.ndarray
+    Z: np.ndarray
     E: np.ndarray
+    ok: list[bool]
+    scale: float
+
+    def lane(self, k: int) -> tuple[SatelliteConfig, EdmBundle] | SingularGeometry:
+        """Anchor set k as factor_anchors returns it, or the SingularGeometry it would raise.
+
+        The objects' arrays are read-only views of row k of the stacks.
+        """
+        _, n, r = self.P.shape
+        if not self.ok[k]:
+            return SingularGeometry(
+                f"centered points span fewer than {r} dimensions "
+                f"(singular values {np.sqrt(self.delta[k]).tolist()})"
+            )
+        b, delta, P = self.b[k], self.delta[k], self.P[k]
+        config = SatelliteConfig(P=P, centroid=self.centroid[k], n=n, r=r, scale=self.scale,
+                                 P_pinv=self.P_pinv[k])
+        bundle = EdmBundle(b=b, Z=self.Z[k], r=r, delta=delta, P_eigen=self.P_eigen[k],
+                           E=self.E[k], delta_sq=tuple([d * d for d in delta.tolist()]),
+                           b_norm=_norm(b), points=P)
+        return config, bundle
 
 
 def factor_anchor_stack(raw_points: np.ndarray, scale: float = DEFAULT_SCALE) -> AnchorStack:
     """factor_anchors for a (B, n, r) stack of anchor sets, with one stacked SVD.
 
-    Lane k of the result is bitwise what factor_anchors(raw_points[k]) returns,
-    or the SingularGeometry it would raise; every lane's arrays are read-only
-    views into the stacks the result also carries.  A shape, scale or
-    non-finite coordinate raises BadShape for the whole stack.
+    Returns the stacked arrays alone; lane(k) of the result is bitwise what
+    factor_anchors(raw_points[k]) returns, or the SingularGeometry it would
+    raise.  A shape, scale or non-finite coordinate raises BadShape for the
+    whole stack.
     """
     raw = np.asarray(raw_points, dtype=float)
     if raw.ndim != 3 or raw.shape[2] < 1:
@@ -248,22 +286,12 @@ def factor_anchor_stack(raw_points: np.ndarray, scale: float = DEFAULT_SCALE) ->
     P_pinv = 2.0 * P_pinv - P_pinv @ P @ P_pinv
     b = np.einsum("bij,bij->bi", P, P)
     P_eigen = VU[:, :, :r] * svals[:, None, :]
-    E = _measurement_operator(P_eigen, VU[:, :, r:])
-    bundles = _finish_bundles(_squared_distances(P), b, VU[:, :, r:], delta, P_eigen, E)
-    for a in (P, centroid, P_pinv):
-        _readonly(a)
-    out = []
-    for k, (bundle, accepted) in enumerate(zip(bundles, ok)):
-        if not accepted:
-            out.append(SingularGeometry(
-                f"centered points span fewer than {r} dimensions "
-                f"(singular values {svals[k].tolist()})"
-            ))
-        else:
-            out.append((SatelliteConfig(P=P[k], centroid=centroid[k], n=n, r=r,
-                                        scale=float(scale), P_pinv=P_pinv[k]), bundle))
-    return AnchorStack(lanes=out, centroid=centroid, P_pinv=P_pinv, b=b, delta=delta,
-                       P_eigen=P_eigen, E=E)
+    Z = VU[:, :, r:]
+    E = _measurement_operator(P_eigen, Z)
+    for a in (centroid, P, P_pinv, b, delta, P_eigen, Z, E):
+        a.setflags(write=False)
+    return AnchorStack(centroid=centroid, P=P, P_pinv=P_pinv, b=b, delta=delta,
+                       P_eigen=P_eigen, Z=Z, E=E, ok=ok, scale=float(scale))
 
 
 def factor_edm(D: np.ndarray) -> EdmBundle:
@@ -296,8 +324,13 @@ def factor_edm(D: np.ndarray) -> EdmBundle:
     b = np.diag(B).copy()
     P_eigen = (V @ evecs[:, :r]) * np.sqrt(delta)
     Z = V @ evecs[:, r:]
-    return _finish_bundles(D[None], b[None], Z[None], delta[None], P_eigen[None],
-                           _measurement_operator(P_eigen[None], Z[None]))[0]
+    E = _measurement_operator(P_eigen[None], Z[None])[0]
+    for a in (D, b, Z, delta, P_eigen, E):
+        a.setflags(write=False)
+    bundle = EdmBundle(b=b, Z=Z, r=r, delta=delta, P_eigen=P_eigen, E=E,
+                       delta_sq=tuple([d * d for d in delta.tolist()]), b_norm=_norm(b))
+    bundle.__dict__["D"] = D  # D is given, so the lazy property has nothing to build
+    return bundle
 
 
 def _measurement_operator(P_eigen: np.ndarray, Z: np.ndarray) -> np.ndarray:
@@ -306,25 +339,6 @@ def _measurement_operator(P_eigen: np.ndarray, Z: np.ndarray) -> np.ndarray:
     # concatenate keeps the layout of its inputs, which sets how E @ z sums
     return np.concatenate(
         [P_eigen.transpose(0, 2, 1), Z.transpose(0, 2, 1), np.ones((lanes, 1, n))], axis=1)
-
-
-def _finish_bundles(
-    D: np.ndarray, b: np.ndarray, Z: np.ndarray, delta: np.ndarray, P_eigen: np.ndarray,
-    E: np.ndarray,
-) -> list[EdmBundle]:
-    """Assemble either route's (B, ...) stacked parts into read-only per-lane bundles.
-
-    Adds delta_sq and b_norm; each bundle's arrays are views into the stacks.
-    """
-    lanes, _, r = P_eigen.shape
-    for a in (D, b, Z, delta, P_eigen, E):
-        _readonly(a)
-    delta_sq = (delta * delta).tolist()
-    return [
-        EdmBundle(D=D[k], b=b[k], Z=Z[k], r=r, delta=delta[k], P_eigen=P_eigen[k], E=E[k],
-                  delta_sq=tuple(delta_sq[k]), b_norm=float(np.linalg.norm(b[k])))
-        for k in range(lanes)
-    ]
 
 
 def _classify_eigs(evals: np.ndarray) -> list[EdmClass]:

@@ -32,6 +32,7 @@ from .edm_core import (
     DEFAULT_SCALE,
     EdmBundle,
     SatelliteConfig,
+    _squared_distances,
     augmented_edm_checks,
     factor_anchor_stack,
     factor_anchors,
@@ -497,7 +498,10 @@ def _run_block(spec: BatchSpec, cells: list, rows: range) -> list[_Row]:
     of one anchor count, and so does the solve with method auto or secular
     and no debiasing: solve_qcqp_block takes the group's rows at once, and
     solve_qcqp (through _dispatch) only the lanes it hands back.  Other
-    methods, and debiasing, solve row by row.  Noise, the range screen and
+    methods, and debiasing, solve row by row.  The block reads the stacked
+    factorization alone; a row gets a configuration and a bundle only when
+    it is solved row by row, and the oracle's distance matrices come from
+    the solved rows of the stack's P.  Noise, the range screen and
     the solver input stay per row.  oracle_faulty means the oracle does not
     extend the anchors at dimension r with the solver's input vector.  Each
     row draws from its own generator exactly what it would alone.  A row
@@ -541,23 +545,23 @@ def _run_block(spec: BatchSpec, cells: list, rows: range) -> list[_Row]:
         try:
             stack = factor_anchor_stack(np.stack([scenarios[i].satellites for i in live]),
                                         opts.scale)
-            geoms = stack.lanes
         except BadShape as exc:  # a scale no row can pass
-            geoms = [exc] * len(live)
-        ready = []  # (row, stack lane, geometry, squared ranges)
-        for k, (i, geom) in enumerate(zip(live, geoms)):
+            failed.update((i, exc) for i in live)
+            continue
+        ready = []  # (row, stack lane, squared ranges)
+        for k, i in enumerate(live):
             try:
-                if isinstance(geom, Exception):  # the stacked factorization failed this row
-                    raise geom
-                dm = Measurement.from_ranges(scenarios[i].pseudoranges, opts.scale).dm
-                ready.append((i, k, geom, dm))
+                if not stack.ok[k]:  # the stacked factorization rejected this row
+                    raise stack.lane(k)
+                ready.append((i, k, Measurement.from_ranges(scenarios[i].pseudoranges,
+                                                            opts.scale).dm))
             except Exception as exc:
                 failed[i] = exc
         if not ready:
             continue
         solved = {}  # row -> (its _Row, oracle verdict pending; the solver input)
         if in_block:
-            lanes = [k for _, k, _, _ in ready]
+            lanes = [k for _, k, _ in ready]
             t0 = time.perf_counter()
             block = solve_qcqp_block(np.stack([dm for *_, dm in ready]), stack, lanes,
                                      opts.secular_tol, kappa_tol=opts.kappa_tol)
@@ -566,15 +570,16 @@ def _run_block(spec: BatchSpec, cells: list, rows: range) -> list[_Row]:
                     - np.stack([scenarios[i].true_receiver for i, *_ in ready]))
             # np.linalg.norm(v) is sqrt(v @ v); the stacked matmul gives each lane's v @ v
             pos_err = np.sqrt((miss[:, None, :] @ miss[:, :, None])[:, 0, 0])
-            for (i, *_, dm), plain, kappa, tag, lam, iters, err in zip(
+            for (i, _, dm), plain, kappa, tag, lam, iters, err in zip(
                     ready, block.plain.tolist(), block.kappa.tolist(), block.tag,
                     block.lam.tolist(), block.iterations.tolist(), pos_err.tolist()):
                 if plain:
                     solved[i] = (_Row(scenarios[i].label, kappa, tag, lam, iters, "secular-gen",
                                       err, False, share), dm)
-        for i, _, (config, bundle), dm in ready:
+        for i, k, dm in ready:
             if i in solved:
                 continue
+            config, bundle = stack.lane(k)
             try:
                 t0 = time.perf_counter()
                 y = _solver_input(dm, bundle, opts)
@@ -587,12 +592,12 @@ def _run_block(spec: BatchSpec, cells: list, rows: range) -> list[_Row]:
             err = float(np.linalg.norm(report.q - scenarios[i].true_receiver))
             solved[i] = (_Row(scenarios[i].label, v.kappa, v.tag, report.lambda_star,
                               report.iterations, report.method, err, False, wall), y)
-        order = [(i, geom[1]) for i, _, geom, _ in ready if i in solved]
+        order = [(i, k) for i, k, _ in ready if i in solved]
         if order:
-            oracles = augmented_edm_checks(np.stack([bundle.D for _, bundle in order]),
+            oracles = augmented_edm_checks(_squared_distances(stack.P[[k for _, k in order]]),
                                            np.stack([solved[i][1] for i, _ in order]))
-            for (i, bundle), oracle in zip(order, oracles):
-                faulty = not (oracle.is_edm and oracle.dim == bundle.r)
+            for (i, _), oracle in zip(order, oracles):
+                faulty = not (oracle.is_edm and oracle.dim == spec.r)
                 done[i] = solved[i][0]._replace(oracle_faulty=faulty)
     if failed:
         raise failed[min(failed)]

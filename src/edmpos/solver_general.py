@@ -49,7 +49,6 @@ from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .consistency import (
     DEFAULT_GALE_TOL,
@@ -319,7 +318,7 @@ def solve_qcqp_block(
     *,
     kappa_tol: float = DEFAULT_KAPPA_TOL,
 ) -> SecularBlock:
-    """solve_qcqp for B measurements at once: row j of Y on geometry stack.lanes[lanes[j]].
+    """solve_qcqp for B measurements at once: row j of Y on geometry stack.lane(lanes[j]).
 
     lanes lists B of the stack's lane numbers, none of them a rejected lane.
     Each step of solve_qcqp runs once over (B, ...) arrays, with the same
@@ -634,8 +633,11 @@ def nlp_oracle(
     Minimizes sum_i (|p_i - q|^2 - dm_i)^2 over q with analytic Jacobian,
     restarted from the centroid and eight perturbed points; the best local
     minimum wins, ties going to the earliest start.  Serves as the
-    independent check on the closed-form routes.
+    independent check on the closed-form routes.  scipy is imported here, on
+    the first call, so that importing edmpos does not pay for it.
     """
+    from scipy.optimize import least_squares
+
     y = as_vector(dm, config.n)
     verdict = self_consistency_test(y, bundle, kappa_tol)
     P = config.P

@@ -16,11 +16,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from edmpos import harness
+from edmpos import edm_core, harness
 from edmpos.consistency import Verdict
 from edmpos.edm_core import (
     augmented_edm_check,
     augmented_edm_checks,
+    build_edm,
     factor_anchor_stack,
     factor_anchors,
 )
@@ -38,6 +39,7 @@ from edmpos.harness import (
     generate_scenario,
     prepare_scenario,
     run_batch,
+    run_pipeline,
 )
 
 memo = harness._factor_geometry
@@ -132,6 +134,8 @@ SWEEP = {
     "over-block": BatchSpec(count=BATCH_BLOCK + 1, n=(6, 4), noise=(None, GaussianSq(2.0)),
                             seed=5),
     "n4-clean": BatchSpec(count=24, n=(4,), seed=6),
+    "n4-6-12-clean-gauss": BatchSpec(count=600, n=(4, 6, 12), noise=(None, GaussianSq(2.0)),
+                                     seed=12),
     "n6-4-gauss": BatchSpec(count=24, n=(6, 4), noise=GaussianSq(2.0), seed=7),
     "n4-debias": BatchSpec(count=24, n=(4,), noise=(ConstantBias(2.0e12), GaussianSq(2.0)),
                            seed=8, options=PipelineOptions(debias=True)),
@@ -205,31 +209,57 @@ def test_linalg_calls_do_not_grow_with_the_row_count(monkeypatch):
         assert 3 <= got["screen"] <= 6, (count, got)
 
 
-def test_stacked_factorization_lanes_equal_factor_anchors():
+@pytest.mark.parametrize("r", [2, 3])
+def test_stacked_factorization_lanes_equal_factor_anchors(r):
     rng = np.random.default_rng(17)
-    for n in (4, 5, 6, 12):
-        pts = rng.normal(size=(40, n, 3))
+    for n in sorted({r + 1, 4, 5, 6, 12}):
+        pts = rng.normal(size=(40, n, r))
         raw = 2.66e7 * pts / np.linalg.norm(pts, axis=2)[:, :, None]
-        raw[9] = np.column_stack([raw[9][:, :2], np.full(n, 1.0e6)])     # flat
-        for k, lane in enumerate(factor_anchor_stack(raw).lanes):
+        raw[9, :, -1] = 1.0e6     # flat: the anchors span r - 1 dimensions
+        stack = factor_anchor_stack(raw)
+        for k in range(len(raw)):
+            lane = stack.lane(k)
             if k == 9:
                 assert isinstance(lane, SingularGeometry)
                 with pytest.raises(SingularGeometry):
                     factor_anchors(raw[k])
                 continue
             (config, bundle), (c1, b1) = lane, factor_anchors(raw[k])
+            assert "D" not in vars(bundle)  # built on first read only
             for a, b in ((config.P, c1.P), (config.centroid, c1.centroid),
                          (config.P_pinv, c1.P_pinv), (bundle.D, b1.D), (bundle.b, b1.b),
                          (bundle.Z, b1.Z), (bundle.delta, b1.delta),
-                         (bundle.P_eigen, b1.P_eigen), (bundle.E, b1.E)):
+                         (bundle.P_eigen, b1.P_eigen), (bundle.E, b1.E),
+                         (bundle.D, build_edm(config))):
                 assert a.tobytes() == b.tobytes() and not a.flags.writeable
             assert (bundle.delta_sq, bundle.b_norm) == (b1.delta_sq, b1.b_norm)
+            assert bundle.b_norm == float(np.linalg.norm(bundle.b))
+            assert bundle.D is bundle.D and (bundle.n, bundle.r) == (n, r)
             D = np.stack([bundle.D, bundle.D])
             y = bundle.b + 1e-3 * rng.normal(size=(2, n))
             assert augmented_edm_checks(D, y) == [augmented_edm_check(bundle, v) for v in y]
         raw[7, 2, 1] = np.nan
         with pytest.raises(BadShape):  # one non-finite coordinate fails the whole stack
             factor_anchor_stack(raw)
+
+
+def test_fresh_geometry_pipeline_builds_no_distance_matrix(monkeypatch):
+    calls = []
+    squared_distances = edm_core._squared_distances
+
+    def counted(P):
+        calls.append(P.shape)
+        return squared_distances(P)
+
+    monkeypatch.setattr(edm_core, "_squared_distances", counted)
+    monkeypatch.setattr(harness, "_squared_distances", counted)
+    for n in (4, 5, 6, 12):
+        sc = apply_noise(generate_scenario(n, seed=40 + n), GaussianSq(2.0), seed=50 + n)
+        run_pipeline(sc)
+        assert calls == [], n
+        _, bundle, _ = prepare_scenario(sc)
+        assert bundle.D is bundle.D and calls == [(1, n, 3)]  # built once, on first read
+        calls.clear()
 
 
 @pytest.mark.parametrize("max_cond, attempts", [(harness.DEFAULT_MAX_COND, 1000), (8.0, 4)])

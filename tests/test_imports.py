@@ -1,9 +1,25 @@
-"""Every name a package module imports is used there (no linter is a dependency)."""
+"""Import hygiene: every name a package module imports is used there (no linter is a
+dependency), and importing the package or running the default pipeline leaves scipy out."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "edmpos"
+
+SCIPY_PROBE = """
+import sys
+import edmpos
+from edmpos.harness import GaussianSq, apply_noise, generate_scenario, run_pipeline
+loaded = ["scipy.optimize" in sys.modules]
+sc = apply_noise(generate_scenario(6, seed=1), GaussianSq(2.0), seed=2)
+report = run_pipeline(sc)
+loaded.append("scipy.optimize" in sys.modules)
+oracle = run_pipeline(sc, "nlp")
+print(loaded, report.method, oracle.method, "scipy.optimize" in sys.modules)
+"""
 
 
 def unused_imports(source: str) -> list[str]:
@@ -31,3 +47,11 @@ def test_package_modules_have_no_unused_imports():
     assert modules
     found = {p.name: unused_imports(p.read_text()) for p in modules}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def test_scipy_is_imported_only_when_the_oracle_runs():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(PACKAGE.parent), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    out = subprocess.run([sys.executable, "-c", SCIPY_PROBE], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.split() == ["[False,", "False]", "secular-gen", "nlp-oracle", "True"]

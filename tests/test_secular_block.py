@@ -12,7 +12,7 @@ import pytest
 
 from edmpos import harness
 from edmpos.consistency import Measurement, Verdict
-from edmpos.edm_core import factor_anchor_stack
+from edmpos.edm_core import AnchorStack, factor_anchor_stack
 from edmpos.harness import (
     BatchSpec,
     ConstantBias,
@@ -40,7 +40,7 @@ def _lanes(n):
     stack = factor_anchor_stack(np.stack([sc.satellites for sc in scenarios]), SCALE)
     lanes = []
     for g, sc in enumerate(scenarios):
-        bundle = stack.lanes[g][1]
+        bundle = stack.lane(g)[1]
         clean = Measurement.from_ranges(sc.pseudoranges, SCALE).dm
         lanes.append((g, clean, "clean"))
         for model in (GaussianSq(2.0), GaussianSq(2.0), SingleFault(g % n, 5e9),
@@ -80,7 +80,7 @@ def test_plain_block_lanes_equal_solve_qcqp_bitwise(n):
     for j, (g, y, kind) in enumerate(lanes):
         kinds.setdefault(kind, []).append(bool(block.plain[j]))
         if block.plain[j]:
-            _assert_lane_is_scalar(block, j, y, stack.lanes[g])
+            _assert_lane_is_scalar(block, j, y, stack.lane(g))
     # everything ordinary stays in the block; the hard case and a kappa > 0
     # pure offset (degenerate) leave it
     for kind in ("clean", "plain", "offset-", "band"):
@@ -94,20 +94,25 @@ def test_plain_block_lanes_equal_solve_qcqp_bitwise(n):
 
 
 def test_batch_calls_solve_qcqp_only_for_handed_lanes(monkeypatch, tmp_path):
-    calls = []
-    scalar = harness.solve_qcqp
+    calls, built = [], []
+    scalar, lane = harness.solve_qcqp, AnchorStack.lane
 
     def counted(*args, **kwargs):
         calls.append(1)
         return scalar(*args, **kwargs)
 
+    def counted_lane(stack, k):
+        built.append(k)
+        return lane(stack, k)
+
     monkeypatch.setattr(harness, "solve_qcqp", counted)
+    monkeypatch.setattr(AnchorStack, "lane", counted_lane)
     spec = BatchSpec(count=600, n=(4, 6, 12), noise=(None, GaussianSq(2.0)), seed=12)
     run_batch(spec, tmp_path / "block.csv")
-    assert calls == []
+    assert calls == [] and built == []  # the block reads the stacks alone
 
-    # hand every third lane back: solve_qcqp runs for those alone, and the
-    # rows come out the same
+    # hand every third lane back: solve_qcqp runs for those alone, only they
+    # get a configuration and a bundle, and the rows come out the same
     block_solve = harness.solve_qcqp_block
     handed = []
 
@@ -120,7 +125,7 @@ def test_batch_calls_solve_qcqp_only_for_handed_lanes(monkeypatch, tmp_path):
 
     monkeypatch.setattr(harness, "solve_qcqp_block", handing)
     run_batch(spec, tmp_path / "handed.csv")
-    assert len(handed) == 3 and len(calls) == sum(handed)
+    assert len(handed) == 3 and len(calls) == len(built) == sum(handed)
     assert (tmp_path / "handed.csv").read_bytes() == (tmp_path / "block.csv").read_bytes()
 
 
@@ -137,6 +142,6 @@ def test_kappa_within_round_off_of_its_band_is_handed_over(n):
             block = solve_qcqp_block(y[None], stack, [g], kappa_tol=tol)
             assert bool(block.plain[0]) == (abs(rel) > 1e-12), (j, rel)
             if block.plain[0]:
-                _assert_lane_is_scalar(block, 0, y, stack.lanes[g], kappa_tol=tol)
+                _assert_lane_is_scalar(block, 0, y, stack.lane(g), kappa_tol=tol)
                 # inside the band the lane short-circuits at lam = 0
                 assert (block.iterations[0] == 0) == (rel > 0), (j, rel)
