@@ -141,10 +141,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--scale", type=float, default=1e-7,
-                       help="coordinate scale applied before linear algebra (default 1e-7)")
-        p.add_argument("--tol", type=float, default=1e-8,
-                       help="relative kappa tolerance band (default 1e-8)")
+        p.add_argument("--scale", type=float, default=PipelineOptions.scale,
+                       help="coordinate scale applied before linear algebra (default %(default)g)")
+        p.add_argument("--tol", type=float, default=PipelineOptions.kappa_tol,
+                       help="relative kappa tolerance band (default %(default)g)")
 
     p_check = sub.add_parser("check", help="consistency verdict for a scenario file")
     p_check.add_argument("scenario", help="scenario JSON file")

@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .edm_core import EdmBundle
+from .edm_core import EdmBundle, _readonly
 from .errors import BadShape
 
 DEFAULT_KAPPA_TOL = 1e-8
@@ -53,20 +53,23 @@ class Measurement:
 
     @classmethod
     def from_ranges(cls, ranges_m: np.ndarray, scale: float) -> "Measurement":
-        raw = np.asarray(ranges_m, dtype=float)
-        if raw.ndim != 1:
-            raise BadShape(f"expected a 1-D range vector, got shape {raw.shape}")
-        # a NaN fails both comparisons, a negative range the first, and an
-        # infinite range or one above MAX_SCALED_RANGE the second
-        lo = np.minimum.reduce(raw, initial=math.inf)
-        hi = scale * float(np.maximum.reduce(raw, initial=0.0))
-        if not (lo >= 0.0 and hi <= MAX_SCALED_RANGE):
-            raise ValueError(f"pseudoranges must lie in [0, {MAX_SCALED_RANGE / scale:.2e}] m")
-        dm = (scale * raw) ** 2
-        dm.setflags(write=False)
-        raw = raw.copy()
-        raw.setflags(write=False)
+        dm = squared_ranges(ranges_m, scale)
+        raw = _readonly(np.array(ranges_m, dtype=float))
         return cls(dm=dm, raw_ranges=raw, n=raw.shape[0])
+
+
+def squared_ranges(ranges_m: np.ndarray, scale: float) -> np.ndarray:
+    """Measurement.dm of a 1-D range vector in meters: screened, squared, read-only."""
+    raw = np.asarray(ranges_m, dtype=float)
+    if raw.ndim != 1:
+        raise BadShape(f"expected a 1-D range vector, got shape {raw.shape}")
+    # a NaN fails both comparisons, a negative range the first, and an
+    # infinite range or one above MAX_SCALED_RANGE the second
+    lo = np.minimum.reduce(raw, initial=math.inf)
+    hi = scale * float(np.maximum.reduce(raw, initial=0.0))
+    if not (lo >= 0.0 and hi <= MAX_SCALED_RANGE):
+        raise ValueError(f"pseudoranges must lie in [0, {MAX_SCALED_RANGE / scale:.2e}] m")
+    return _readonly((scale * raw) ** 2)
 
 
 def as_vector(y, n: int | None = None) -> np.ndarray:
@@ -132,7 +135,12 @@ def _gale_of(null_coords: list[float], norm: float, bundle: EdmBundle) -> float:
     # receiver at the anchor centroid) the difference is pure round-off and a
     # z-relative residual would read structural infeasibility into noise
     ref = max(norm, GALE_NORM_FLOOR * bundle.b_norm)
-    return math.hypot(*null_coords) / ref if ref > 0.0 else 0.0
+    # the squares summed left to right, as solver_general._gale_block sums
+    # them, so that both solve kernels compare the same bits
+    squares = 0.0
+    for ci in null_coords:
+        squares += ci * ci
+    return math.sqrt(squares) / ref if ref > 0.0 else 0.0
 
 
 def eigen_coordinates(vec: np.ndarray, bundle: EdmBundle) -> EigenCoordinates:
@@ -216,21 +224,13 @@ def verdict_of(
     """The verdict on vec from its already computed eigen coordinates."""
     k = coords.kappa
     band = kappa_band(vec, tol)
-    gale_res = coords.gale_residual
-    if gale_res > DEFAULT_GALE_TOL:
-        return ConsistencyVerdict(
-            kappa=k,
-            gale_residual=gale_res,
-            tag=Verdict.GALE_INFEASIBLE,
-            band=band,
-            borderline=False,
-        )
+    infeasible = coords.gale_residual > DEFAULT_GALE_TOL
     return ConsistencyVerdict(
         kappa=k,
-        gale_residual=gale_res,
-        tag=_tag_by_sign(k, band),
+        gale_residual=coords.gale_residual,
+        tag=Verdict.GALE_INFEASIBLE if infeasible else _tag_by_sign(k, band),
         band=band,
-        borderline=_is_borderline(k, band),
+        borderline=not infeasible and _is_borderline(k, band),
     )
 
 

@@ -21,6 +21,8 @@ from .errors import BadShape, NotAnEdm, SingularGeometry
 # rank cut: a Gram eigenvalue (sigma^2 of the centred anchors) counts if > this * max(lambda_max, 1)
 DEFAULT_RANK_TOL = 1e-9
 DEFAULT_SCALE = 1e-7
+# largest asymmetry and diagonal entry accepted in a distance matrix, relative to max(|D|, 1)
+HOLLOW_SYMMETRIC_RTOL = 1e-12
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -173,9 +175,9 @@ def _check_hollow_symmetric(D: np.ndarray) -> np.ndarray:
     if D.ndim != 2 or D.shape[0] != D.shape[1]:
         raise BadShape(f"expected a square matrix, got shape {D.shape}")
     scale = max(float(np.abs(D).max()), 1.0)
-    if float(np.abs(D - D.T).max()) > 1e-12 * scale:
+    if float(np.abs(D - D.T).max()) > HOLLOW_SYMMETRIC_RTOL * scale:
         raise BadShape("matrix is not symmetric")
-    if float(np.abs(np.diag(D)).max()) > 1e-12 * scale:
+    if float(np.abs(np.diag(D)).max()) > HOLLOW_SYMMETRIC_RTOL * scale:
         raise BadShape("matrix diagonal is not zero")
     return 0.5 * (D + D.T)
 

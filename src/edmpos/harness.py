@@ -27,6 +27,7 @@ from .consistency import (
     Measurement,
     Verdict,
     clock_bias_estimate,
+    squared_ranges,
 )
 from .edm_core import (
     DEFAULT_SCALE,
@@ -284,16 +285,16 @@ def apply_noise(
             if not np.any(bad):
                 break
             noisy[bad] = squares[bad] + sigma_sq[bad] * rng.standard_normal(int(bad.sum()))
-        out = replace(sc, noise_sigma=model.sigma_m)
+        record = {"noise_sigma": model.sigma_m}
     elif isinstance(model, ConstantBias):
         noisy = squares + model.delta_sq
-        out = replace(sc, true_bias=model.delta_sq)
+        record = {"true_bias": model.delta_sq}
     elif isinstance(model, SingleFault):
         if not 0 <= model.index < squares.shape[0]:
             raise BadShape(f"fault index {model.index} out of range for {squares.shape[0]} anchors")
         noisy = squares.copy()
         noisy[model.index] += model.delta_sq
-        out = replace(sc, fault=(model.index, model.delta_sq))
+        record = {"fault": (model.index, model.delta_sq)}
     else:
         raise BadShape(f"unknown noise model {model!r}")
     if np.any(noisy < 0.0):
@@ -304,7 +305,7 @@ def apply_noise(
                 f"perturbation drove {int((noisy < 0).sum())} squared pseudorange(s) negative; "
                 "rerun with clamping enabled to floor them at zero"
             )
-    return replace(out, pseudoranges=np.sqrt(noisy))
+    return replace(sc, pseudoranges=np.sqrt(noisy), **record)
 
 
 @dataclass(frozen=True)
@@ -553,8 +554,7 @@ def _run_block(spec: BatchSpec, cells: list, rows: range) -> list[_Row]:
             try:
                 if not stack.ok[k]:  # the stacked factorization rejected this row
                     raise stack.lane(k)
-                ready.append((i, k, Measurement.from_ranges(scenarios[i].pseudoranges,
-                                                            opts.scale).dm))
+                ready.append((i, k, squared_ranges(scenarios[i].pseudoranges, opts.scale)))
             except Exception as exc:
                 failed[i] = exc
         if not ready:

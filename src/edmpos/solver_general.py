@@ -36,9 +36,10 @@ each numpy call costs far more in dispatch than the arithmetic it does.  The
 loops keep the term order of the numpy array form they replaced, which sums a
 short vector left to right and squares an element as t * t, so eval_f gives
 the same floats.  solve_qcqp_block runs solve_qcqp's steps once over many
-measurements, each on its own geometry, where the dispatch is paid once per
-step instead of once per measurement; it computes the same floats lane by
-lane and hands every lane it cannot match to solve_qcqp.
+measurements, each on its own geometry, paying the dispatch once per step
+instead of once per measurement.  Every float it compares is solve_qcqp's, so
+it hands a lane to solve_qcqp only where solve_qcqp would call nlp_oracle or
+raise, or where the root needs more than BLOCK_MAX_EVALS evaluations of f.
 """
 
 from __future__ import annotations
@@ -83,11 +84,6 @@ ROOT_XTOL = 1e-15
 # solve_qcqp_block hands a lane to solve_qcqp once it has taken this many
 # evaluations of f without converging; a noisy solve takes one to three
 BLOCK_MAX_EVALS = 8
-# ... and when its kappa lies this close (relative) to its band, or its Gale
-# residual or that of its y_star to DEFAULT_GALE_TOL: the block sums the band
-# and the Gale norms in another order than the scalar path, so only a
-# comparison this far from equality is sure to come out the same
-BLOCK_THRESHOLD_RTOL = 1e-12
 
 # multi-start constants for the oracle: one centroid start plus 8 directions
 # at a tenth of the anchor bounding-box diagonal, drawn from a fixed stream
@@ -306,8 +302,7 @@ class SecularBlock(NamedTuple):
     q: np.ndarray
 
 
-_TAGS = (Verdict.SELF_CONSISTENT, Verdict.FAULTY_POSITIVE, Verdict.FAULTY_NEGATIVE,
-         Verdict.GALE_INFEASIBLE)
+_TAGS = tuple(Verdict)
 
 
 def solve_qcqp_block(
@@ -324,17 +319,17 @@ def solve_qcqp_block(
     Each step of solve_qcqp runs once over (B, ...) arrays, with the same
     floating-point operations in the same order: the products with E,
     P_eigen and P_pinv are stacked matmuls, which give the per-lane
-    products' bits, and sums over the r poles run left to right.  The root
-    finder is find_root_increasing's Newton iteration from lam = 0, masked
-    lane by lane.  Only the kappa band and the Gale residuals are summed
-    differently, and they only feed comparisons (see BLOCK_THRESHOLD_RTOL).
+    products' bits, and sums over the r poles and over the Gale coordinates
+    run left to right.  The root finder is find_root_increasing's Newton
+    iteration from lam = 0, masked lane by lane.  So kappa, its band and the
+    Gale residuals carry solve_qcqp's bits, and every threshold decides a
+    lane as solve_qcqp decides it.
 
-    A lane is not plain when solve_qcqp would leave the secular root, might
-    raise, or could compare differently: a degenerate measurement with
-    kappa > 0, a pole guard hit, a bracket that closes without a sign
-    change, a root not found in BLOCK_MAX_EVALS evaluations, one past the
-    curvature bound, a y_star whose Gale residual is too large, and a kappa
-    or Gale residual near its threshold.
+    A lane is not plain only where solve_qcqp would call nlp_oracle (a
+    degenerate measurement with kappa > 0) or raise (a pole guard hit, a
+    bracket that closes without a sign change, a root past the curvature
+    bound, a y_star whose Gale residual exceeds DEFAULT_GALE_TOL), or where
+    the root is not found in BLOCK_MAX_EVALS evaluations.
     """
     E, b, nu, P_eigen, P_pinv = (
         a[lanes] for a in (stack.E, stack.b, stack.delta, stack.P_eigen, stack.P_pinv))
@@ -352,13 +347,10 @@ def solve_qcqp_block(
     degenerate = np.sqrt(bottom) <= DEGENERACY_RTOL * np.maximum(np.sqrt(_pole_sum(w2)), norm)
     hprime = (4.0 / n) * total
     kappa = hprime - quad
-    band = kappa_tol * np.maximum(1.0, np.add.reduce(np.abs(Y), axis=1) / n)
+    band = _band_block(Y, kappa_tol)
     gale = _gale_block(c[:, r:-1], norm, b_norm)
-    near = BLOCK_THRESHOLD_RTOL
     short = np.abs(kappa) <= band
-    hand = ((np.abs(np.abs(kappa) - band) <= near * band)
-            | (np.abs(gale - DEFAULT_GALE_TOL) <= near * DEFAULT_GALE_TOL)
-            | (~short & degenerate & (kappa > 0.0)))
+    hand = ~short & degenerate & (kappa > 0.0)
     lam = np.zeros(kappa.shape)
     iterations = np.zeros(kappa.shape, dtype=int)
     rows = np.flatnonzero(~short & ~hand)
@@ -375,7 +367,7 @@ def solve_qcqp_block(
     z = y_star - b
     c = _products(E, z)
     norm = np.sqrt(_products(z[:, None, :], z)[:, 0])
-    hand |= _gale_block(c[:, r:-1], norm, b_norm) >= (1.0 - near) * DEFAULT_GALE_TOL
+    hand |= _gale_block(c[:, r:-1], norm, b_norm) > DEFAULT_GALE_TOL
     q = -0.5 * _products(P_pinv, z - (c[:, -1] / n)[:, None])
     code = np.where(gale > DEFAULT_GALE_TOL, 3, np.where(short, 0, np.where(kappa > 0.0, 1, 2)))
     return SecularBlock(plain=~hand, kappa=kappa, tag=[_TAGS[k] for k in code.tolist()],
@@ -388,19 +380,23 @@ def _products(A: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _pole_sum(terms: np.ndarray) -> np.ndarray:
-    """Sum a (B, r) array over its poles left to right from 0.0, as the scalar loops do."""
+    """Sum a (B, m) array over its columns left to right from 0.0, as the scalar loops do."""
     total = 0.0
     for i in range(terms.shape[1]):
         total = total + terms[:, i]
     return total
 
 
+def _band_block(Y: np.ndarray, kappa_tol: float) -> np.ndarray:
+    """consistency.kappa_band for each row of Y, bit for bit."""
+    return kappa_tol * np.maximum(1.0, np.add.reduce(np.abs(Y), axis=1) / Y.shape[1])
+
+
 def _gale_block(null: np.ndarray, norm: np.ndarray, b_norm: np.ndarray) -> np.ndarray:
-    """consistency._gale_of for each lane, to a few ulps (not its bits)."""
+    """consistency._gale_of for each lane, bit for bit: the same squares in the same order."""
     ref = np.maximum(norm, GALE_NORM_FLOOR * b_norm)
     # a zero ref means z = 0, whose residual is 0 either way
-    g = null / np.where(ref > 0.0, ref, 1.0)[:, None]
-    return np.sqrt(np.add.reduce(g * g, axis=1))
+    return np.sqrt(_pole_sum(null * null)) / np.where(ref > 0.0, ref, 1.0)
 
 
 def _secular_roots(nu, w2, kappa, hprime, n: int, tol: float):

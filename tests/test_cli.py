@@ -5,9 +5,16 @@ import json
 import numpy as np
 import pytest
 
-from edmpos.cli import EXIT_INFEASIBLE, EXIT_NO_CONVERGENCE, main
+from edmpos.cli import EXIT_INFEASIBLE, EXIT_NO_CONVERGENCE, _options, build_parser, main
 from edmpos.errors import NotAnEdm, PoleEvaluation
-from edmpos.harness import ConstantBias, Scenario, SingleFault, apply_noise, generate_scenario
+from edmpos.harness import (
+    ConstantBias,
+    PipelineOptions,
+    Scenario,
+    SingleFault,
+    apply_noise,
+    generate_scenario,
+)
 
 
 @pytest.fixture
@@ -152,3 +159,8 @@ def test_solver_errors_exit_codes(clean_file, monkeypatch, capsys, exc, code):
     monkeypatch.setattr("edmpos.cli.run_pipeline", failing)
     assert main(["solve", str(path)]) == code
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["check", "s.json"], ["solve", "s.json"], ["simulate"]])
+def test_parser_defaults_are_the_pipeline_defaults(argv):
+    assert _options(build_parser().parse_args(argv)) == PipelineOptions()
