@@ -10,7 +10,6 @@ from .consistency import (
     ConsistencyVerdict,
     Measurement,
     Verdict,
-    classify_n4,
     clock_bias_estimate,
     kappa,
     self_consistency_test,
@@ -94,7 +93,6 @@ __all__ = [
     "build_edm",
     "build_secular_general",
     "build_v_basis",
-    "classify_n4",
     "clock_bias_estimate",
     "eval_f",
     "factor_anchors",

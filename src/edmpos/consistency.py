@@ -190,20 +190,6 @@ def _is_borderline(k: float, band: float) -> bool:
     return 0.1 * band < abs(k) < 10.0 * band
 
 
-def classify_n4(y, bundle: EdmBundle, tol: float = DEFAULT_KAPPA_TOL) -> ConsistencyVerdict:
-    """Three-way verdict for the minimal four-anchor, three-dimension case.
-
-    Sign of kappa decides: zero (within band) means the measurement extends
-    the geometry in three dimensions, positive means the extension needs a
-    fourth dimension, negative means no extension exists.  With n = r + 1
-    there are no null directions, so this is the general test restricted to
-    that shape.
-    """
-    if bundle.n != 4 or bundle.r != 3:
-        raise BadShape(f"requires 4 anchors spanning 3 dimensions, got n={bundle.n}, r={bundle.r}")
-    return self_consistency_test(y, bundle, tol)
-
-
 def self_consistency_test(
     y, bundle: EdmBundle, tol: float = DEFAULT_KAPPA_TOL
 ) -> ConsistencyVerdict:

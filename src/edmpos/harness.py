@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import lru_cache
 from pathlib import Path
 from typing import NamedTuple
@@ -191,30 +191,39 @@ def generate_scenario(
     coordinate matrix is rank deficient or whose normal matrix condition
     number exceeds DEFAULT_MAX_COND are rejected and redrawn;
     GeometryRejection is raised after MAX_GEOMETRY_ATTEMPTS draws.  This is
-    the one-lane case of _generate_scenarios.
+    the one-lane case of _draw_geometries.  An integer seed (Python or numpy)
+    is recorded as a Python int.
     """
     if rng is None:
         rng = np.random.default_rng(seed)
-    sc = _generate_scenarios(n, r, [rng], [label], receiver_radius)[0]
-    if isinstance(sc, GeometryRejection):
-        raise sc
-    return replace(sc, seed=seed) if isinstance(seed, int) else sc
+    sats, receivers, ranges, drawn = _draw_geometries(n, r, [rng], receiver_radius)
+    if not drawn[0]:
+        raise _rejection()
+    return Scenario(label=label, dim=r, satellites=sats[0], pseudoranges=ranges[0],
+                    true_receiver=receivers[0],
+                    seed=int(seed) if isinstance(seed, (int, np.integer)) else None)
 
 
-def _generate_scenarios(
+def _rejection() -> GeometryRejection:
+    return GeometryRejection(f"no acceptable geometry in {MAX_GEOMETRY_ATTEMPTS} attempts")
+
+
+def _draw_geometries(
     n: int,
     r: int,
     rngs: list[np.random.Generator],
-    labels: list[str],
     receiver_radius: float = DEFAULT_RECEIVER_RADIUS,
-) -> list[Scenario | GeometryRejection]:
-    """generate_scenario for one generator per lane, screening each draw round with one SVD.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """generate_scenario's draw for one generator per lane, screening each round with one SVD.
 
-    Every lane draws from its own generator exactly what generate_scenario
-    draws, in the same order; a rejected lane draws again in the next round.
-    A lane still rejected after MAX_GEOMETRY_ATTEMPTS rounds gets a
-    GeometryRejection in place of its scenario.
+    Returns the (B, n, r) satellites, (B, r) receivers, (B, n) exact ranges
+    and the (B,) mask of lanes that drew an accepted geometry.  Every lane
+    draws from its own generator exactly what generate_scenario draws, in
+    the same order; a rejected lane draws again in the next round, and a lane
+    still rejected after MAX_GEOMETRY_ATTEMPTS rounds is left out of the mask.
     """
+    if r < 1:
+        raise BadShape(f"expected a 2-D point array of r >= 1 columns, got shape {(n, r)}")
     if n < r + 1:
         raise BadShape(f"need at least r+1={r + 1} anchors, got {n}")
     lanes = len(rngs)
@@ -226,11 +235,11 @@ def _generate_scenarios(
             break
         draws = np.stack([rngs[k].normal(size=(n, r)) for k in active])
         norms = np.linalg.norm(draws, axis=2)
-        drawn = np.flatnonzero((norms != 0.0).all(axis=1))
-        shell = DEFAULT_SHELL_RADIUS * draws[drawn] / norms[drawn][:, :, None]
+        usable = np.flatnonzero((norms != 0.0).all(axis=1))
+        shell = DEFAULT_SHELL_RADIUS * draws[usable] / norms[usable][:, :, None]
         svals = np.linalg.svd(shell - shell.mean(axis=1, keepdims=True), compute_uv=False)
         screened = {}
-        for pos, lane, s in zip(drawn.tolist(), shell, svals.tolist()):
+        for pos, lane, s in zip(usable.tolist(), shell, svals.tolist()):
             # the condition cap is the screen; a zero singular value is
             # caught before the division
             if s[r - 1] > 0.0 and not (s[0] / s[r - 1]) ** 2 > DEFAULT_MAX_COND:
@@ -251,14 +260,9 @@ def _generate_scenarios(
             receivers[k] = radius * direction / dnorm
         active = retry
     ranges = np.linalg.norm(sats - receivers[:, None, :], axis=2)
-    failed = set(active)
-    return [
-        GeometryRejection(f"no acceptable geometry in {MAX_GEOMETRY_ATTEMPTS} attempts")
-        if k in failed else
-        Scenario(label=labels[k], dim=r, satellites=sats[k], pseudoranges=ranges[k],
-                 true_receiver=receivers[k])
-        for k in range(lanes)
-    ]
+    drawn = np.ones(lanes, dtype=bool)
+    drawn[active] = False
+    return sats, receivers, ranges, drawn
 
 
 def apply_noise(
@@ -274,10 +278,17 @@ def apply_noise(
     A perturbation that drives a square negative is redrawn (Gaussian model)
     or raises NegativeSquare; with clamp=True it is clamped to zero instead.
     """
-    squares = np.asarray(sc.pseudoranges, dtype=float) ** 2
+    if rng is None and isinstance(model, GaussianSq):
+        rng = np.random.default_rng(seed)
+    ranges, record = _perturbed(sc.pseudoranges, model, rng, clamp)
+    return replace(sc, pseudoranges=ranges, **record)
+
+
+def _perturbed(ranges, model: NoiseModel, rng: np.random.Generator | None,
+               clamp: bool) -> tuple[np.ndarray, dict]:
+    """apply_noise on a range vector: the perturbed ranges and the Scenario fields to record."""
+    squares = np.asarray(ranges, dtype=float) ** 2
     if isinstance(model, GaussianSq):
-        if rng is None:
-            rng = np.random.default_rng(seed)
         sigma_sq = 2.0 * np.sqrt(squares) * model.sigma_m
         noisy = squares + sigma_sq * rng.standard_normal(squares.shape)
         for _ in range(MAX_NOISE_REDRAWS):
@@ -305,7 +316,7 @@ def apply_noise(
                 f"perturbation drove {int((noisy < 0).sum())} squared pseudorange(s) negative; "
                 "rerun with clamping enabled to floor them at zero"
             )
-    return replace(sc, pseudoranges=np.sqrt(noisy), **record)
+    return np.sqrt(noisy), record
 
 
 @dataclass(frozen=True)
@@ -446,14 +457,7 @@ class BatchStats:
     per_n: dict
 
     def to_dict(self) -> dict:
-        return {
-            "count": self.count,
-            "pos_err_m": self.pos_err_m,
-            "confusion": self.confusion,
-            "mean_iterations": self.mean_iterations,
-            "wall_us_per_solve": self.wall_us_per_solve,
-            "per_n": self.per_n,
-        }
+        return asdict(self)
 
 
 def _error_stats(errors: list[float]) -> dict:
@@ -482,6 +486,7 @@ class _Row(NamedTuple):
     """
 
     label: str
+    n: int
     kappa: float
     tag: Verdict
     lambda_star: float | None
@@ -495,68 +500,64 @@ class _Row(NamedTuple):
 def _run_block(spec: BatchSpec, cells: list, rows: range) -> list[_Row]:
     """The solved rows of one block, in row order.
 
-    Generation, factoring and the eigenvalue oracle run once over all rows
-    of one anchor count, and so does the solve with method auto or secular
-    and no debiasing: solve_qcqp_block takes the group's rows at once, and
+    The rows of one anchor count stay in the arrays _draw_geometries draws
+    for them, and generation, factoring and the eigenvalue oracle run once
+    over each such group.  So does the solve with method auto or secular and
+    no debiasing: solve_qcqp_block takes the group's rows at once, and
     solve_qcqp (through _dispatch) only the lanes it hands back.  Other
     methods, and debiasing, solve row by row.  The block reads the stacked
     factorization alone; a row gets a configuration and a bundle only when
     it is solved row by row, and the oracle's distance matrices come from
-    the solved rows of the stack's P.  Noise, the range screen and
-    the solver input stay per row.  oracle_faulty means the oracle does not
-    extend the anchors at dimension r with the solver's input vector.  Each
-    row draws from its own generator exactly what it would alone.  A row
-    that fails skips its later stages, and the block then raises the error
-    of the first failing row, as a row-by-row loop would.
+    the solved rows of the stack's P.  Noise (_perturbed), the range screen
+    and the solver input stay per row.  oracle_faulty means the oracle does
+    not extend the anchors at dimension r with the solver's input vector.
+    Each row draws from its own generator exactly what it would alone.  A
+    row that fails skips its later stages, and the block then raises the
+    error of the first failing row, as a row-by-row loop would.
     """
     opts = spec.options
+    in_block = spec.method in ("auto", "secular") and not opts.debias
     failed: dict[int, Exception] = {}
-    rngs = {i: np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=(i,)))
-            for i in rows}
+    done = {}
     groups: dict[int, list[int]] = {}
     for i in rows:
         groups.setdefault(cells[i % len(cells)][0], []).append(i)
 
-    scenarios: dict[int, Scenario] = {}
     for n, idx in groups.items():
-        labels = [f"{spec.label_prefix}-{i:06d}" for i in idx]
+        rngs = [np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=(i,)))
+                for i in idx]
         try:
-            drawn = _generate_scenarios(n, spec.r, [rngs[i] for i in idx], labels)
+            sats, receivers, ranges, drawn = _draw_geometries(n, spec.r, rngs)
         except BadShape as exc:
-            drawn = [exc] * len(idx)
-        for i, sc in zip(idx, drawn):
-            if isinstance(sc, Exception):
-                failed[i] = sc
-            else:
-                scenarios[i] = sc
-    for i, sc in scenarios.items():
-        model = cells[i % len(cells)][1]
-        if model is not None:
+            failed.update((i, exc) for i in idx)
+            continue
+        live, measured = [], []  # group lanes that drew and took their noise; their ranges
+        for g, i in enumerate(idx):
+            model = cells[i % len(cells)][1]
             try:
-                scenarios[i] = apply_noise(sc, model, rng=rngs[i], clamp=spec.clamp)
+                if not drawn[g]:
+                    raise _rejection()
+                measured.append(ranges[g] if model is None else
+                                _perturbed(ranges[g], model, rngs[g], spec.clamp)[0])
+                live.append(g)
             except Exception as exc:
                 failed[i] = exc
-
-    in_block = spec.method in ("auto", "secular") and not opts.debias
-    done = {}
-    for idx in groups.values():
-        live = [i for i in idx if i not in failed]
         if not live:
             continue
         try:
-            stack = factor_anchor_stack(np.stack([scenarios[i].satellites for i in live]),
-                                        opts.scale)
+            stack = factor_anchor_stack(sats[live], opts.scale)
         except BadShape as exc:  # a scale no row can pass
-            failed.update((i, exc) for i in live)
+            failed.update((idx[g], exc) for g in live)
             continue
+        truth = receivers[live]  # by stack lane, as stack's arrays are
         ready = []  # (row, stack lane, squared ranges)
-        for k, i in enumerate(live):
+        for k, (g, row_ranges) in enumerate(zip(live, measured)):
             try:
                 if not stack.ok[k]:  # the stacked factorization rejected this row
                     raise stack.lane(k)
-                ready.append((i, k, squared_ranges(scenarios[i].pseudoranges, opts.scale)))
+                ready.append((idx[g], k, squared_ranges(row_ranges, opts.scale)))
             except Exception as exc:
-                failed[i] = exc
+                failed[idx[g]] = exc
         if not ready:
             continue
         solved = {}  # row -> (its _Row, oracle verdict pending; the solver input)
@@ -566,16 +567,15 @@ def _run_block(spec: BatchSpec, cells: list, rows: range) -> list[_Row]:
             block = solve_qcqp_block(np.stack([dm for *_, dm in ready]), stack, lanes,
                                      opts.secular_tol, kappa_tol=opts.kappa_tol)
             share = (time.perf_counter() - t0) / max(1, int(block.plain.sum()))
-            miss = (block.q / float(opts.scale) + stack.centroid[lanes]
-                    - np.stack([scenarios[i].true_receiver for i, *_ in ready]))
+            miss = block.q / float(opts.scale) + stack.centroid[lanes] - truth[lanes]
             # np.linalg.norm(v) is sqrt(v @ v); the stacked matmul gives each lane's v @ v
             pos_err = np.sqrt((miss[:, None, :] @ miss[:, :, None])[:, 0, 0])
             for (i, _, dm), plain, kappa, tag, lam, iters, err in zip(
                     ready, block.plain.tolist(), block.kappa.tolist(), block.tag,
                     block.lam.tolist(), block.iterations.tolist(), pos_err.tolist()):
                 if plain:
-                    solved[i] = (_Row(scenarios[i].label, kappa, tag, lam, iters, "secular-gen",
-                                      err, False, share), dm)
+                    solved[i] = (_Row(f"{spec.label_prefix}-{i:06d}", n, kappa, tag, lam, iters,
+                                      "secular-gen", err, False, share), dm)
         for i, k, dm in ready:
             if i in solved:
                 continue
@@ -589,9 +589,10 @@ def _run_block(spec: BatchSpec, cells: list, rows: range) -> list[_Row]:
                 failed[i] = exc
                 continue
             v = report.verdict
-            err = float(np.linalg.norm(report.q - scenarios[i].true_receiver))
-            solved[i] = (_Row(scenarios[i].label, v.kappa, v.tag, report.lambda_star,
-                              report.iterations, report.method, err, False, wall), y)
+            err = float(np.linalg.norm(report.q - truth[k]))
+            solved[i] = (_Row(f"{spec.label_prefix}-{i:06d}", n, v.kappa, v.tag,
+                              report.lambda_star, report.iterations, report.method, err,
+                              False, wall), y)
         order = [(i, k) for i, k, _ in ready if i in solved]
         if order:
             oracles = augmented_edm_checks(_squared_distances(stack.P[[k for _, k in order]]),
@@ -604,6 +605,18 @@ def _run_block(spec: BatchSpec, cells: list, rows: range) -> list[_Row]:
     return [done[i] for i in rows]
 
 
+def _scored(rows: list[_Row]) -> dict:
+    """count, pos_err_m and confusion of a set of rows, as BatchStats and per_n hold them."""
+    conf = {"tp": 0, "fp": 0, "tn": 0, "fn": 0}
+    for row in rows:
+        if row.tag is not Verdict.SELF_CONSISTENT:
+            conf["tp" if row.oracle_faulty else "fp"] += 1
+        else:
+            conf["fn" if row.oracle_faulty else "tn"] += 1
+    return {"count": len(rows), "pos_err_m": _error_stats([row.pos_err_m for row in rows]),
+            "confusion": _confusion_rates(conf)}
+
+
 def run_batch(spec: BatchSpec, out_path=None) -> BatchStats:
     """Generate, perturb, and solve spec.count instances; write CSV and summary.
 
@@ -612,71 +625,40 @@ def run_batch(spec: BatchSpec, out_path=None) -> BatchStats:
     split from spec.seed, so reruns reproduce every instance exactly.  Rows
     run in blocks of BATCH_BLOCK (see _run_block); the CSV and the summary
     are those of solving the rows one by one with run_pipeline's steps, and
-    a failing row raises before anything is written.
+    a negative count or a failing row raises before anything is written.
     """
+    if spec.count < 0:
+        raise BadShape(f"count must be non-negative, got {spec.count}")
     ns = (spec.n,) if isinstance(spec.n, int) else tuple(spec.n)
     noises = tuple(spec.noise) if isinstance(spec.noise, (list, tuple)) else (spec.noise,)
     cells = [(n, m) for n in ns for m in noises]
-    rows = []
-    errors_all: list[float] = []
-    iters_all: list[int] = []
-    wall_all: list[float] = []
-    conf = {"tp": 0, "fp": 0, "tn": 0, "fn": 0}
-    per_n: dict[int, dict] = {
-        n: {"count": 0, "errors": [], "conf": {"tp": 0, "fp": 0, "tn": 0, "fn": 0}}
-        for n in ns
-    }
-
+    solved: list[_Row] = []
     for start in range(0, spec.count, BATCH_BLOCK):
-        block = range(start, min(start + BATCH_BLOCK, spec.count))
-        for i, row in zip(block, _run_block(spec, cells, block)):
-            n = cells[i % len(cells)][0]
-            wall_all.append(row.wall)
-            if row.tag is not Verdict.SELF_CONSISTENT:
-                key = "tp" if row.oracle_faulty else "fp"
-            else:
-                key = "fn" if row.oracle_faulty else "tn"
-            conf[key] += 1
-            per_n[n]["conf"][key] += 1
-            per_n[n]["count"] += 1
-            iters_all.append(row.iterations)
-            errors_all.append(row.pos_err_m)
-            per_n[n]["errors"].append(row.pos_err_m)
-
-            rows.append([
-                row.label,
-                n,
-                float(row.kappa),
-                row.tag.value,
-                float(row.lambda_star) if row.lambda_star is not None else None,
-                row.pos_err_m,
-                row.iterations,
-                row.method,
-                int(round(row.wall * 1e6)) if spec.timing else 0,
-            ])
+        solved += _run_block(spec, cells, range(start, min(start + BATCH_BLOCK, spec.count)))
 
     if out_path is not None:
         out_path = Path(out_path)
         with out_path.open("w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(CSV_COLUMNS)
-            for row in rows:
-                writer.writerow([_fmt(v) for v in row])
+            for row in solved:
+                writer.writerow([_fmt(v) for v in (
+                    row.label,
+                    row.n,
+                    float(row.kappa),
+                    row.tag.value,
+                    float(row.lambda_star) if row.lambda_star is not None else None,
+                    row.pos_err_m,
+                    row.iterations,
+                    row.method,
+                    int(round(row.wall * 1e6)) if spec.timing else 0,
+                )])
 
     stats = BatchStats(
-        count=spec.count,
-        pos_err_m=_error_stats(errors_all),
-        confusion=_confusion_rates(conf),
-        mean_iterations=float(np.mean(iters_all)) if iters_all else 0.0,
-        wall_us_per_solve=float(np.mean(wall_all) * 1e6) if wall_all else 0.0,
-        per_n={
-            n: {
-                "count": blk["count"],
-                "pos_err_m": _error_stats(blk["errors"]),
-                "confusion": _confusion_rates(blk["conf"]),
-            }
-            for n, blk in per_n.items()
-        },
+        **_scored(solved),
+        mean_iterations=float(np.mean([row.iterations for row in solved])) if solved else 0.0,
+        wall_us_per_solve=float(np.mean([row.wall for row in solved]) * 1e6) if solved else 0.0,
+        per_n={n: _scored([row for row in solved if row.n == n]) for n in ns},
     )
     if out_path is not None:
         summary_path = out_path.with_suffix(".summary.json")

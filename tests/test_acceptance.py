@@ -12,10 +12,10 @@ import numpy as np
 from edmpos.consistency import (
     Measurement,
     Verdict,
-    classify_n4,
     clock_bias_estimate,
     kappa,
     kappa_band,
+    self_consistency_test,
 )
 from edmpos.edm_core import (
     augmented_edm_check,
@@ -106,7 +106,7 @@ def test_criterion_1_fault_tags_match_eigenvalue_oracle(capsys):
                 continue
             if abs(kappa(y, bundle)) <= 10.0 * kappa_band(y):
                 continue
-            verdict = classify_n4(y, bundle)
+            verdict = self_consistency_test(y, bundle)
             check = augmented_edm_check(bundle, y)
             if check.is_edm and check.dim == 3:
                 expected = Verdict.SELF_CONSISTENT

@@ -9,6 +9,7 @@ eigh calls that does not grow with the row count.
 """
 
 import csv
+import dataclasses
 import json
 import time
 from pathlib import Path
@@ -209,6 +210,27 @@ def test_linalg_calls_do_not_grow_with_the_row_count(monkeypatch):
         assert 3 <= got["screen"] <= 6, (count, got)
 
 
+def test_noisy_batch_builds_no_scenario_and_applies_noise_to_arrays(monkeypatch):
+    # rows stay in the arrays they are drawn into: no Scenario per row, and
+    # noise reaches them without apply_noise's per-row Scenario copy
+    calls = {"Scenario": 0, "apply_noise": 0, "replace": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(harness, name, counted(name, getattr(harness, name)))
+    monkeypatch.setattr(dataclasses, "replace", counted("replace", dataclasses.replace))
+    spec = BatchSpec(count=600, n=(4, 6, 12), seed=13,
+                     noise=(None, GaussianSq(2.0), ConstantBias(1.0e10), SingleFault(1, 5.0e12)))
+    stats = run_batch(spec)
+    assert stats.count == 600 and sum(blk["count"] for blk in stats.per_n.values()) == 600
+    assert calls == {"Scenario": 0, "apply_noise": 0, "replace": 0}
+
+
 @pytest.mark.parametrize("r", [2, 3])
 def test_stacked_factorization_lanes_equal_factor_anchors(r):
     rng = np.random.default_rng(17)
@@ -271,19 +293,21 @@ def test_stacked_generation_lanes_equal_generate_scenario(monkeypatch, max_cond,
     for n in (4, 6, 12):
         rngs = [np.random.default_rng(np.random.SeedSequence(23, spawn_key=(i,)))
                 for i in range(300)]
-        stacked = harness._generate_scenarios(n, 3, rngs, ["x"] * 300)
-        for i, sc in enumerate(stacked):
+        sats, receivers, ranges, drawn = harness._draw_geometries(n, 3, rngs)
+        assert sats.shape == (300, n, 3) and receivers.shape == (300, 3)
+        assert ranges.shape == (300, n) and drawn.dtype == bool
+        for i, ok in enumerate(drawn.tolist()):
             rng = np.random.default_rng(np.random.SeedSequence(23, spawn_key=(i,)))
-            if isinstance(sc, GeometryRejection):
+            if not ok:
                 outcomes.add("rejected")
                 with pytest.raises(GeometryRejection):
                     generate_scenario(n, rng=rng, label="x")
             else:
                 outcomes.add("drawn")
                 alone = generate_scenario(n, rng=rng, label="x")
-                assert sc.satellites.tobytes() == alone.satellites.tobytes()
-                assert sc.pseudoranges.tobytes() == alone.pseudoranges.tobytes()
-                assert sc.true_receiver.tobytes() == alone.true_receiver.tobytes()
+                assert sats[i].tobytes() == alone.satellites.tobytes()
+                assert ranges[i].tobytes() == alone.pseudoranges.tobytes()
+                assert receivers[i].tobytes() == alone.true_receiver.tobytes()
             # both generators are left in the same state
             assert rngs[i].normal() == rng.normal()
     assert outcomes == ({"drawn", "rejected"} if attempts < 1000 else {"drawn"})

@@ -113,6 +113,14 @@ def test_simulate_bad_fault_spec(tmp_path):
                  "--out", str(tmp_path / "x.csv")]) == 64
 
 
+
+@pytest.mark.parametrize("flag", [["--count", "-5"], ["--r", "0"], ["--r", "-1"]])
+def test_simulate_bad_count_or_dimension_is_bad_input(tmp_path, capsys, flag):
+    out = tmp_path / "x.csv"
+    assert main(["simulate", *flag, "--out", str(out)]) == 64
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists() and not out.with_suffix(".summary.json").exists()
+
 def test_missing_file_is_bad_input(tmp_path, capsys):
     assert main(["check", str(tmp_path / "absent.json")]) == 64
     assert "error:" in capsys.readouterr().err

@@ -7,7 +7,6 @@ from edmpos.consistency import (
     ConsistencyVerdict,
     Measurement,
     Verdict,
-    classify_n4,
     clock_bias_estimate,
     kappa,
     kappa_band,
@@ -115,19 +114,19 @@ def test_band_scales_with_measurement():
             assert kappa_band(y, 1e-8) == 1e-8 * max(1.0, float(np.abs(y).mean()))
 
 
-def test_classify_n4_examples():
+def test_four_anchor_verdict_examples():
     rng = np.random.default_rng(29)
     _, bundle = make_bundle(rng, 4)
-    assert classify_n4(bundle.b, bundle).tag is Verdict.SELF_CONSISTENT
-    lifted = classify_n4(bundle.b + np.ones(4), bundle)
+    assert self_consistency_test(bundle.b, bundle).tag is Verdict.SELF_CONSISTENT
+    lifted = self_consistency_test(bundle.b + np.ones(4), bundle)
     assert lifted.tag is Verdict.FAULTY_POSITIVE
     oracle = augmented_edm_check(bundle, bundle.b + np.ones(4))
     assert oracle.is_edm and oracle.dim == 4
-    sunk = classify_n4(bundle.b - np.ones(4), bundle)
+    sunk = self_consistency_test(bundle.b - np.ones(4), bundle)
     assert sunk.tag is Verdict.FAULTY_NEGATIVE
 
 
-def test_classify_n4_matches_eigenvalue_oracle():
+def test_four_anchor_verdicts_match_eigenvalue_oracle():
     rng = np.random.default_rng(37)
     tol = 1e-8
     checked = 0
@@ -137,7 +136,7 @@ def test_classify_n4_matches_eigenvalue_oracle():
         band = kappa_band(y, tol)
         if abs(kappa(y, bundle)) <= 10.0 * band:
             continue  # stay away from the decision boundary
-        verdict = classify_n4(y, bundle, tol)
+        verdict = self_consistency_test(y, bundle, tol)
         oracle = augmented_edm_check(bundle, y)
         if verdict.tag is Verdict.SELF_CONSISTENT:
             assert oracle.is_edm and oracle.dim == 3
@@ -147,13 +146,6 @@ def test_classify_n4_matches_eigenvalue_oracle():
             assert not oracle.is_edm
         checked += 1
     assert checked >= 200
-
-
-def test_classify_n4_rejects_other_sizes():
-    rng = np.random.default_rng(41)
-    _, bundle = make_bundle(rng, 5)
-    with pytest.raises(BadShape):
-        classify_n4(np.ones(5), bundle)
 
 
 def test_self_consistency_on_exact_squares():

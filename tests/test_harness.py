@@ -67,6 +67,31 @@ def test_generate_scenario_needs_enough_anchors():
         generate_scenario(3, 3, seed=0)
 
 
+
+@pytest.mark.parametrize("r", [0, -1])
+def test_generate_scenario_rejects_dimensions_below_one(r):
+    with pytest.raises(BadShape, match="r >= 1"):
+        generate_scenario(6, r, seed=0)
+    with pytest.raises(BadShape, match="r >= 1"):
+        run_batch(BatchSpec(count=3, r=r))
+
+
+def test_batch_rejects_a_negative_count(tmp_path):
+    out = tmp_path / "negative.csv"
+    with pytest.raises(BadShape):
+        run_batch(BatchSpec(count=-5), out)
+    assert not out.exists() and not out.with_suffix(".summary.json").exists()
+
+
+@pytest.mark.parametrize("seed", [np.int64(3), np.uint32(3), 3])
+def test_numpy_integer_seed_is_recorded_and_round_trips(tmp_path, seed):
+    sc = generate_scenario(6, seed=seed)
+    assert sc.seed == 3 and type(sc.seed) is int
+    assert sc.satellites.tobytes() == generate_scenario(6, seed=3).satellites.tobytes()
+    path = tmp_path / "seeded.json"
+    sc.save(path)
+    assert Scenario.load(path).seed == 3
+
 def test_prepare_rejects_flat_geometry():
     flat = np.column_stack([np.random.default_rng(5).normal(size=(5, 2)) * 1e7, np.zeros(5)])
     sc = Scenario(
