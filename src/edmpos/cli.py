@@ -1,7 +1,8 @@
 """Command-line interface: check, solve, simulate.
 
 Exit codes: 0 success, 2 measurement fault detected, 3 infeasible geometry,
-4 no convergence, 64 bad input.
+4 no convergence, 64 bad input (a path that cannot be read or written
+included).
 """
 
 from __future__ import annotations
@@ -195,7 +196,7 @@ def main(argv=None) -> int:
         return EXIT_BAD_INPUT if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a path that is missing, a directory, or not permitted
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except (json.JSONDecodeError, ValueError) as exc:

@@ -59,17 +59,48 @@ class Measurement:
 
 
 def squared_ranges(ranges_m: np.ndarray, scale: float) -> np.ndarray:
-    """Measurement.dm of a 1-D range vector in meters: screened, squared, read-only."""
+    """Measurement.dm of a 1-D range vector in meters: screened, squared, read-only.
+
+    This is the one-row case of squared_range_rows; a vector outside the
+    screen raises range_error(scale).
+    """
     raw = np.asarray(ranges_m, dtype=float)
     if raw.ndim != 1:
         raise BadShape(f"expected a 1-D range vector, got shape {raw.shape}")
+    dm, rejected = squared_range_rows(raw, scale)
+    if rejected:
+        raise range_error(scale)
+    return dm
+
+
+def squared_range_rows(ranges_m: np.ndarray, scale: float) -> tuple[np.ndarray, list[int]]:
+    """squared_ranges for each row of a (B, n) float range array, or of one (n,) row, in one pass.
+
+    Returns the read-only squares (scale * range)**2, of the input's shape,
+    and the rows outside [0, MAX_SCALED_RANGE / scale] m, for which
+    squared_ranges raises range_error(scale); such a row is squared as
+    zeros.  One minimum and one maximum over the whole array decide a group
+    whose rows all pass, so only a group holding a failing row is screened
+    row by row.
+    """
     # a NaN fails both comparisons, a negative range the first, and an
     # infinite range or one above MAX_SCALED_RANGE the second
-    lo = np.minimum.reduce(raw, initial=math.inf)
-    hi = scale * float(np.maximum.reduce(raw, initial=0.0))
+    lo = np.minimum.reduce(ranges_m, axis=None, initial=math.inf)
+    hi = scale * float(np.maximum.reduce(ranges_m, axis=None, initial=0.0))
+    rejected = []
     if not (lo >= 0.0 and hi <= MAX_SCALED_RANGE):
-        raise ValueError(f"pseudoranges must lie in [0, {MAX_SCALED_RANGE / scale:.2e}] m")
-    return _readonly((scale * raw) ** 2)
+        lo = np.minimum.reduce(ranges_m, axis=-1, initial=math.inf)
+        hi = scale * np.maximum.reduce(ranges_m, axis=-1, initial=0.0)
+        ok = (lo >= 0.0) & (hi <= MAX_SCALED_RANGE)
+        rejected = np.flatnonzero(~ok).tolist()
+        # a failed row's square could overflow; it is never read
+        ranges_m = np.where(ok[..., None], ranges_m, 0.0)
+    return _readonly((scale * ranges_m) ** 2), rejected
+
+
+def range_error(scale: float) -> ValueError:
+    """The error squared_ranges raises for a range vector outside its screen."""
+    return ValueError(f"pseudoranges must lie in [0, {MAX_SCALED_RANGE / scale:.2e}] m")
 
 
 def as_vector(y, n: int | None = None) -> np.ndarray:

@@ -343,13 +343,24 @@ def _measurement_operator(P_eigen: np.ndarray, Z: np.ndarray) -> np.ndarray:
         [P_eigen.transpose(0, 2, 1), Z.transpose(0, 2, 1), np.ones((lanes, 1, n))], axis=1)
 
 
-def _classify_eigs(evals: np.ndarray) -> list[EdmClass]:
-    """Classify each row of a (B, n) stack of test-matrix eigenvalues."""
+def _classify_eigs(evals: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Classify each row of a (B, n) stack of test-matrix eigenvalues, as (B,) arrays.
+
+    Returns (edm, dim, low): row k is a distance matrix of dimension dim[k]
+    where edm[k] is True, and otherwise its lowest eigenvalue low[k] is the
+    witness.  _edm_classes makes EdmClass objects of the same decision.
+    """
     thr = DEFAULT_RANK_TOL * np.maximum(np.abs(evals).max(axis=1, initial=0.0), 1.0)
-    lo = evals.min(axis=1, initial=0.0).tolist()
-    dims = np.count_nonzero(evals > thr[:, None], axis=1).tolist()
-    return [EdmClass.not_edm(low) if low < -t else EdmClass.edm_of_dim(k)
-            for low, t, k in zip(lo, thr.tolist(), dims)]
+    low = evals.min(axis=1, initial=0.0)
+    dims = np.count_nonzero(evals > thr[:, None], axis=1)
+    return ~(low < -thr), dims, low
+
+
+def _edm_classes(evals: np.ndarray) -> list[EdmClass]:
+    """_classify_eigs' verdict on each row of a (B, n) eigenvalue stack, as EdmClass objects."""
+    edm, dims, low = _classify_eigs(evals)
+    return [EdmClass.edm_of_dim(k) if ok else EdmClass.not_edm(w)
+            for ok, k, w in zip(edm.tolist(), dims.tolist(), low.tolist())]
 
 
 def augmented_edm_check(bundle: EdmBundle, y: np.ndarray) -> EdmClass:
@@ -370,6 +381,15 @@ def augmented_edm_check(bundle: EdmBundle, y: np.ndarray) -> EdmClass:
 
 def augmented_edm_checks(D: np.ndarray, Y: np.ndarray) -> list[EdmClass]:
     """augmented_edm_check for (B, n, n) distance matrices and (B, n) vectors, one eigh."""
+    return _edm_classes(_augmented_eigs(D, Y))
+
+
+def _augmented_eigs(D: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """The (B, n) eigenvalues of the test matrices Y[k]*1' + 1*Y[k]' - D[k], from one eigh.
+
+    _classify_eigs reads the oracle's verdicts off them as arrays, which is
+    how run_batch scores its rows without an EdmClass per row.
+    """
     M = Y[:, :, None] + Y[:, None, :] - D
     M = 0.5 * (M + M.transpose(0, 2, 1))
-    return _classify_eigs(np.linalg.eigh(M)[0])
+    return np.linalg.eigh(M)[0]

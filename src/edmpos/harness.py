@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache
 from pathlib import Path
 from typing import NamedTuple
@@ -27,14 +27,17 @@ from .consistency import (
     Measurement,
     Verdict,
     clock_bias_estimate,
-    squared_ranges,
+    range_error,
+    squared_range_rows,
 )
 from .edm_core import (
     DEFAULT_SCALE,
     EdmBundle,
     SatelliteConfig,
+    _augmented_eigs,
+    _classify_eigs,
+    _norm,
     _squared_distances,
-    augmented_edm_checks,
     factor_anchor_stack,
     factor_anchors,
 )
@@ -221,6 +224,9 @@ def _draw_geometries(
     draws from its own generator exactly what generate_scenario draws, in
     the same order; a rejected lane draws again in the next round, and a lane
     still rejected after MAX_GEOMETRY_ATTEMPTS rounds is left out of the mask.
+    A lane's own work is its draws and the zero-norm test of its receiver
+    direction; the anchor norms, the screen, the receiver scaling and the
+    ranges each run once over the round's (or the group's) lanes.
     """
     if r < 1:
         raise BadShape(f"expected a 2-D point array of r >= 1 columns, got shape {(n, r)}")
@@ -238,28 +244,37 @@ def _draw_geometries(
         usable = np.flatnonzero((norms != 0.0).all(axis=1))
         shell = DEFAULT_SHELL_RADIUS * draws[usable] / norms[usable][:, :, None]
         svals = np.linalg.svd(shell - shell.mean(axis=1, keepdims=True), compute_uv=False)
-        screened = {}
-        for pos, lane, s in zip(usable.tolist(), shell, svals.tolist()):
+        screened = {}  # active position -> its row of shell
+        for j, (pos, s) in enumerate(zip(usable.tolist(), svals.tolist())):
             # the condition cap is the screen; a zero singular value is
             # caught before the division
             if s[r - 1] > 0.0 and not (s[0] / s[r - 1]) ** 2 > DEFAULT_MAX_COND:
-                screened[pos] = lane
-        retry = []
+                screened[pos] = j
+        retry, kept, shell_rows, directions, radii, dnorms = [], [], [], [], [], []
         for pos, k in enumerate(active):
             if pos not in screened:
                 retry.append(k)
                 continue
             rng = rngs[k]
             direction = rng.normal(size=r)
-            dnorm = np.linalg.norm(direction)
+            dnorm = _norm(direction)
             if dnorm == 0.0:
                 retry.append(k)
                 continue
-            radius = receiver_radius * rng.uniform() ** (1.0 / r)
-            sats[k] = screened[pos]
-            receivers[k] = radius * direction / dnorm
+            kept.append(k)
+            shell_rows.append(screened[pos])
+            directions.append(direction)
+            dnorms.append(dnorm)
+            radii.append(receiver_radius * rng.uniform() ** (1.0 / r))
+        if kept:
+            sats[kept] = shell[shell_rows]
+            # radius * direction / dnorm for each kept lane, elementwise
+            receivers[kept] = (np.array(radii)[:, None] * np.array(directions)
+                               / np.array(dnorms)[:, None])
         active = retry
-    ranges = np.linalg.norm(sats - receivers[:, None, :], axis=2)
+    # np.linalg.norm's own formula over the last axis, without its dispatch layers
+    diff = sats - receivers[:, None, :]
+    ranges = np.sqrt(np.add.reduce(diff * diff, axis=2))
     drawn = np.ones(lanes, dtype=bool)
     drawn[active] = False
     return sats, receivers, ranges, drawn
@@ -277,46 +292,70 @@ def apply_noise(
 
     A perturbation that drives a square negative is redrawn (Gaussian model)
     or raises NegativeSquare; with clamp=True it is clamped to zero instead.
+    This is the one-row case of _perturbed.
     """
     if rng is None and isinstance(model, GaussianSq):
         rng = np.random.default_rng(seed)
-    ranges, record = _perturbed(sc.pseudoranges, model, rng, clamp)
-    return replace(sc, pseudoranges=ranges, **record)
+    ranges, record, negative = _perturbed(np.asarray(sc.pseudoranges, dtype=float)[None],
+                                          model, [rng], clamp)
+    if negative:
+        raise negative[0]
+    return replace(sc, pseudoranges=ranges[0], **record)
 
 
-def _perturbed(ranges, model: NoiseModel, rng: np.random.Generator | None,
-               clamp: bool) -> tuple[np.ndarray, dict]:
-    """apply_noise on a range vector: the perturbed ranges and the Scenario fields to record."""
-    squares = np.asarray(ranges, dtype=float) ** 2
+def _perturbed(ranges: np.ndarray, model: NoiseModel, rngs: list[np.random.Generator | None],
+               clamp: bool) -> tuple[np.ndarray, dict, dict[int, NegativeSquare]]:
+    """apply_noise on each row of a (B, n) range array, row b drawing from rngs[b].
+
+    Returns the perturbed (B, n) ranges, the Scenario fields to record, and,
+    by row number, the NegativeSquare apply_noise would raise for a row; such
+    a row's ranges mean nothing.  Each row draws from its own generator what
+    apply_noise draws, in its order: n normals, then, round by round, one
+    normal for each of its squares still negative.  The squares, the
+    sigma scaling, the negative check, the clamp and the square root run once
+    over the array.  A fault index out of range or an unknown model raises
+    BadShape, since it fails every row alike.
+    """
+    squares = ranges**2
     if isinstance(model, GaussianSq):
         sigma_sq = 2.0 * np.sqrt(squares) * model.sigma_m
-        noisy = squares + sigma_sq * rng.standard_normal(squares.shape)
+        normals = np.empty(squares.shape)
+        for rng, row in zip(rngs, normals):
+            rng.standard_normal(out=row)
+        noisy = squares + sigma_sq * normals
         for _ in range(MAX_NOISE_REDRAWS):
             bad = noisy < 0.0
-            if not np.any(bad):
+            if not bad.any():
                 break
-            noisy[bad] = squares[bad] + sigma_sq[bad] * rng.standard_normal(int(bad.sum()))
+            # a boolean index walks the rows in order, as the redraws are concatenated
+            redraws = [rngs[b].standard_normal(c)
+                       for b, c in enumerate(np.count_nonzero(bad, axis=1).tolist()) if c]
+            noisy[bad] = squares[bad] + sigma_sq[bad] * np.concatenate(redraws)
         record = {"noise_sigma": model.sigma_m}
     elif isinstance(model, ConstantBias):
         noisy = squares + model.delta_sq
         record = {"true_bias": model.delta_sq}
     elif isinstance(model, SingleFault):
-        if not 0 <= model.index < squares.shape[0]:
-            raise BadShape(f"fault index {model.index} out of range for {squares.shape[0]} anchors")
+        if not 0 <= model.index < squares.shape[1]:
+            raise BadShape(f"fault index {model.index} out of range for {squares.shape[1]} anchors")
         noisy = squares.copy()
-        noisy[model.index] += model.delta_sq
+        noisy[:, model.index] += model.delta_sq
         record = {"fault": (model.index, model.delta_sq)}
     else:
         raise BadShape(f"unknown noise model {model!r}")
-    if np.any(noisy < 0.0):
-        if clamp:
-            noisy = np.maximum(noisy, 0.0)
-        else:
-            raise NegativeSquare(
-                f"perturbation drove {int((noisy < 0).sum())} squared pseudorange(s) negative; "
-                "rerun with clamping enabled to floor them at zero"
-            )
-    return np.sqrt(noisy), record
+    below = noisy < 0.0
+    negative = {}
+    if below.any():
+        counts = np.count_nonzero(below, axis=1)
+        rows = np.flatnonzero(counts)
+        # clamped either way, so the square root stays real; without clamping
+        # the rows fail and their ranges are never read
+        noisy[rows] = np.maximum(noisy[rows], 0.0)
+        if not clamp:
+            negative = {b: NegativeSquare(
+                f"perturbation drove {int(counts[b])} squared pseudorange(s) negative; "
+                "rerun with clamping enabled to floor them at zero") for b in rows.tolist()}
+    return np.sqrt(noisy), record, negative
 
 
 @dataclass(frozen=True)
@@ -432,14 +471,6 @@ CSV_COLUMNS = [
 ]
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 @dataclass(frozen=True)
 class BatchStats:
     """Aggregates over one batch, including the eigenvalue-oracle confusion counts.
@@ -457,7 +488,9 @@ class BatchStats:
     per_n: dict
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        # the fields hold only numbers, None and dicts of them, so the JSON of
+        # this shallow dict is that of dataclasses.asdict's deep copy
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def _error_stats(errors: list[float]) -> dict:
@@ -481,8 +514,10 @@ def _confusion_rates(conf: dict) -> dict:
 class _Row(NamedTuple):
     """One solved batch row: what its CSV line and the summary read.
 
-    pos_err_m is the fix's distance from the true receiver; wall is in
-    seconds (see BatchSpec).
+    The floats are Python floats, since the csv module writes a float with
+    repr, which for a numpy float would name its type.  pos_err_m is the
+    fix's distance from the true receiver; wall is in seconds (see
+    BatchSpec).
     """
 
     label: str
@@ -493,27 +528,29 @@ class _Row(NamedTuple):
     iterations: int
     method: str
     pos_err_m: float
-    oracle_faulty: bool
     wall: float
+    oracle_faulty: bool
 
 
 def _run_block(spec: BatchSpec, cells: list, rows: range) -> list[_Row]:
     """The solved rows of one block, in row order.
 
     The rows of one anchor count stay in the arrays _draw_geometries draws
-    for them, and generation, factoring and the eigenvalue oracle run once
-    over each such group.  So does the solve with method auto or secular and
-    no debiasing: solve_qcqp_block takes the group's rows at once, and
-    solve_qcqp (through _dispatch) only the lanes it hands back.  Other
-    methods, and debiasing, solve row by row.  The block reads the stacked
-    factorization alone; a row gets a configuration and a bundle only when
-    it is solved row by row, and the oracle's distance matrices come from
-    the solved rows of the stack's P.  Noise (_perturbed), the range screen
-    and the solver input stay per row.  oracle_faulty means the oracle does
-    not extend the anchors at dimension r with the solver's input vector.
-    Each row draws from its own generator exactly what it would alone.  A
-    row that fails skips its later stages, and the block then raises the
-    error of the first failing row, as a row-by-row loop would.
+    for them, and each stage runs once over such a group: generation, the
+    noise of each noise model (_perturbed), factoring, the range screen
+    (squared_range_rows) and the eigenvalue oracle, whose verdicts are read
+    as arrays (_classify_eigs).  So does the solve with method auto or
+    secular and no debiasing: solve_qcqp_block takes the group's rows at
+    once, and solve_qcqp (through _dispatch) only the lanes it hands back.
+    Other methods, and debiasing, solve row by row.  The block reads the
+    stacked factorization alone; a row gets a configuration and a bundle
+    only when it is solved row by row, and the oracle's distance matrices
+    come from the solved rows of the stack's P.  oracle_faulty means the
+    oracle does not extend the anchors at dimension r with the solver's
+    input vector.  Each row draws from its own generator exactly what it
+    would alone.  A row that fails skips its later stages, and the block
+    then raises the error of the first failing row, as a row-by-row loop
+    would.
     """
     opts = spec.options
     in_block = spec.method in ("auto", "secular") and not opts.debias
@@ -527,21 +564,26 @@ def _run_block(spec: BatchSpec, cells: list, rows: range) -> list[_Row]:
         rngs = [np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=(i,)))
                 for i in idx]
         try:
-            sats, receivers, ranges, drawn = _draw_geometries(n, spec.r, rngs)
+            sats, truth, ranges, drawn = _draw_geometries(n, spec.r, rngs)
         except BadShape as exc:
             failed.update((i, exc) for i in idx)
             continue
-        live, measured = [], []  # group lanes that drew and took their noise; their ranges
-        for g, i in enumerate(idx):
-            model = cells[i % len(cells)][1]
+        by_cell: dict[int, list[int]] = {}  # the drawn group lanes that take each noise model
+        for g, (i, ok) in enumerate(zip(idx, drawn.tolist())):
+            if not ok:
+                failed[i] = _rejection()
+            elif cells[i % len(cells)][1] is not None:
+                by_cell.setdefault(i % len(cells), []).append(g)
+        for cell, gs in by_cell.items():
             try:
-                if not drawn[g]:
-                    raise _rejection()
-                measured.append(ranges[g] if model is None else
-                                _perturbed(ranges[g], model, rngs[g], spec.clamp)[0])
-                live.append(g)
-            except Exception as exc:
-                failed[i] = exc
+                noisy, _, negative = _perturbed(ranges[gs], cells[cell][1],
+                                                [rngs[g] for g in gs], spec.clamp)
+            except Exception as exc:  # a model that fails every row alike
+                failed.update((idx[g], exc) for g in gs)
+                continue
+            ranges[gs] = noisy
+            failed.update((idx[gs[b]], exc) for b, exc in negative.items())
+        live = [g for g, i in enumerate(idx) if i not in failed]
         if not live:
             continue
         try:
@@ -549,57 +591,57 @@ def _run_block(spec: BatchSpec, cells: list, rows: range) -> list[_Row]:
         except BadShape as exc:  # a scale no row can pass
             failed.update((idx[g], exc) for g in live)
             continue
-        truth = receivers[live]  # by stack lane, as stack's arrays are
-        ready = []  # (row, stack lane, squared ranges)
-        for k, (g, row_ranges) in enumerate(zip(live, measured)):
-            try:
-                if not stack.ok[k]:  # the stacked factorization rejected this row
-                    raise stack.lane(k)
-                ready.append((idx[g], k, squared_ranges(row_ranges, opts.scale)))
-            except Exception as exc:
-                failed[idx[g]] = exc
-        if not ready:
+        dm, rejected = squared_range_rows(ranges[live], opts.scale)
+        for k in rejected:
+            failed[idx[live[k]]] = range_error(opts.scale)
+        for k, ok in enumerate(stack.ok):
+            if not ok:  # the stacked factorization rejects a row before its range screen does
+                failed[idx[live[k]]] = stack.lane(k)
+        lanes = [k for k, g in enumerate(live) if idx[g] not in failed]  # stack lanes, row order
+        if not lanes:
             continue
-        solved = {}  # row -> (its _Row, oracle verdict pending; the solver input)
+        rows_of = [idx[live[k]] for k in lanes]
+        truth = truth[live][lanes]
+        inputs = dm[lanes]  # each lane's solver input, replaced where debiasing changes it
+        solved = {}  # position in lanes -> the row's _Row fields before oracle_faulty
         if in_block:
-            lanes = [k for _, k, _ in ready]
             t0 = time.perf_counter()
-            block = solve_qcqp_block(np.stack([dm for *_, dm in ready]), stack, lanes,
-                                     opts.secular_tol, kappa_tol=opts.kappa_tol)
+            block = solve_qcqp_block(inputs, stack, lanes, opts.secular_tol,
+                                     kappa_tol=opts.kappa_tol)
             share = (time.perf_counter() - t0) / max(1, int(block.plain.sum()))
-            miss = block.q / float(opts.scale) + stack.centroid[lanes] - truth[lanes]
+            miss = block.q / float(opts.scale) + stack.centroid[lanes] - truth
             # np.linalg.norm(v) is sqrt(v @ v); the stacked matmul gives each lane's v @ v
             pos_err = np.sqrt((miss[:, None, :] @ miss[:, :, None])[:, 0, 0])
-            for (i, _, dm), plain, kappa, tag, lam, iters, err in zip(
-                    ready, block.plain.tolist(), block.kappa.tolist(), block.tag,
-                    block.lam.tolist(), block.iterations.tolist(), pos_err.tolist()):
+            for j, (i, plain, kappa, tag, lam, iters, err) in enumerate(zip(
+                    rows_of, block.plain.tolist(), block.kappa.tolist(), block.tag,
+                    block.lam.tolist(), block.iterations.tolist(), pos_err.tolist())):
                 if plain:
-                    solved[i] = (_Row(f"{spec.label_prefix}-{i:06d}", n, kappa, tag, lam, iters,
-                                      "secular-gen", err, False, share), dm)
-        for i, k, dm in ready:
-            if i in solved:
+                    solved[j] = (f"{spec.label_prefix}-{i:06d}", n, kappa, tag, lam, iters,
+                                 "secular-gen", err, share)
+        for j, (i, k) in enumerate(zip(rows_of, lanes)):
+            if j in solved:
                 continue
             config, bundle = stack.lane(k)
             try:
                 t0 = time.perf_counter()
-                y = _solver_input(dm, bundle, opts)
+                y = _solver_input(dm[k], bundle, opts)
                 report = _dispatch(y, config, bundle, spec.method, opts)
                 wall = time.perf_counter() - t0
             except Exception as exc:
                 failed[i] = exc
                 continue
-            v = report.verdict
-            err = float(np.linalg.norm(report.q - truth[k]))
-            solved[i] = (_Row(f"{spec.label_prefix}-{i:06d}", n, v.kappa, v.tag,
-                              report.lambda_star, report.iterations, report.method, err,
-                              False, wall), y)
-        order = [(i, k) for i, k, _ in ready if i in solved]
+            inputs[j] = y
+            v, lam = report.verdict, report.lambda_star
+            solved[j] = (f"{spec.label_prefix}-{i:06d}", n, float(v.kappa), v.tag,
+                         None if lam is None else float(lam), report.iterations, report.method,
+                         _norm(report.q - truth[j]), wall)
+        order = sorted(solved)
         if order:
-            oracles = augmented_edm_checks(_squared_distances(stack.P[[k for _, k in order]]),
-                                           np.stack([solved[i][1] for i, _ in order]))
-            for (i, _), oracle in zip(order, oracles):
-                faulty = not (oracle.is_edm and oracle.dim == spec.r)
-                done[i] = solved[i][0]._replace(oracle_faulty=faulty)
+            edm, dims, _ = _classify_eigs(_augmented_eigs(
+                _squared_distances(stack.P[[lanes[j] for j in order]]), inputs[order]))
+            faulty = ~(edm & (dims == spec.r))
+            for j, f in zip(order, faulty.tolist()):
+                done[rows_of[j]] = _Row(*solved[j], f)
     if failed:
         raise failed[min(failed)]
     return [done[i] for i in rows]
@@ -631,6 +673,9 @@ def run_batch(spec: BatchSpec, out_path=None) -> BatchStats:
         raise BadShape(f"count must be non-negative, got {spec.count}")
     ns = (spec.n,) if isinstance(spec.n, int) else tuple(spec.n)
     noises = tuple(spec.noise) if isinstance(spec.noise, (list, tuple)) else (spec.noise,)
+    if not ns or not noises:
+        raise BadShape(f"the anchor-count and noise grids must not be empty, "
+                       f"got n={spec.n!r} and noise={spec.noise!r}")
     cells = [(n, m) for n in ns for m in noises]
     solved: list[_Row] = []
     for start in range(0, spec.count, BATCH_BLOCK):
@@ -641,18 +686,10 @@ def run_batch(spec: BatchSpec, out_path=None) -> BatchStats:
         with out_path.open("w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(CSV_COLUMNS)
-            for row in solved:
-                writer.writerow([_fmt(v) for v in (
-                    row.label,
-                    row.n,
-                    float(row.kappa),
-                    row.tag.value,
-                    float(row.lambda_star) if row.lambda_star is not None else None,
-                    row.pos_err_m,
-                    row.iterations,
-                    row.method,
-                    int(round(row.wall * 1e6)) if spec.timing else 0,
-                )])
+            writer.writerows(
+                (row.label, row.n, row.kappa, row.tag.value, row.lambda_star, row.pos_err_m,
+                 row.iterations, row.method, int(round(row.wall * 1e6)) if spec.timing else 0)
+                for row in solved)
 
     stats = BatchStats(
         **_scored(solved),

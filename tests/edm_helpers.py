@@ -7,7 +7,7 @@ textbook forms the tests compare it against.
 
 import numpy as np
 
-from edmpos.edm_core import EdmClass, _check_hollow_symmetric, _classify_eigs, build_v_basis
+from edmpos.edm_core import EdmClass, _check_hollow_symmetric, _edm_classes, build_v_basis
 
 
 def gram_from_edm(D: np.ndarray) -> np.ndarray:
@@ -36,4 +36,4 @@ def classify_edm(D: np.ndarray) -> EdmClass:
     V = build_v_basis(D.shape[0])
     M = -(V.T @ D @ V)
     M = 0.5 * (M + M.T)
-    return _classify_eigs(np.linalg.eigh(M[None])[0])[0]
+    return _edm_classes(np.linalg.eigh(M[None])[0])[0]

@@ -5,7 +5,9 @@ noise, goes through prepare_scenario, the solver and the eigenvalue oracle on
 its own, and the summary takes each percentile with its own call.  The
 stacked run_batch must write the same CSV bytes and the same summary apart
 from the wall time, raise the same first error, and make a number of SVD and
-eigh calls that does not grow with the row count.
+eigh calls that does not grow with the row count.  ``_reference_noise`` is
+apply_noise's perturbation as a loop over one range vector, which the
+stacked noise stage must match draw for draw.
 """
 
 import csv
@@ -66,6 +68,15 @@ def _reference_error_stats(errors):
     }
 
 
+def _reference_fmt(value) -> str:
+    # a CSV cell's text: repr of a float, str of anything else, nothing for None
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
 def reference_run_batch(spec: BatchSpec, out_path) -> BatchStats:
     """run_batch as a row-by-row loop over the one-scenario functions."""
     ns = (spec.n,) if isinstance(spec.n, int) else tuple(spec.n)
@@ -109,7 +120,7 @@ def reference_run_batch(spec: BatchSpec, out_path) -> BatchStats:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
         for row in rows:
-            writer.writerow([harness._fmt(v) for v in row])
+            writer.writerow([_reference_fmt(v) for v in row])
     stats = BatchStats(
         count=spec.count,
         pos_err_m=_reference_error_stats(errors_all),
@@ -142,6 +153,10 @@ SWEEP = {
                            seed=8, options=PipelineOptions(debias=True)),
     "unconstrained": BatchSpec(count=32, n=(4, 5, 6, 12), noise=MIXED, clamp=True, seed=9,
                                method="unconstrained"),
+    # 2e7 m of noise on ~2e7 m ranges drives about a quarter of the squares
+    # negative, so rows redraw, some for several rounds
+    "gauss-redraw": BatchSpec(count=60, n=(4, 6, 12), noise=(None, GaussianSq(2.0e7)),
+                              clamp=True, seed=14),
 }
 
 
@@ -162,6 +177,67 @@ def test_stacked_batch_matches_row_by_row_reference(tmp_path, name):
     assert _summary(stacked) == _summary(reference)
 
 
+def test_redraw_spec_draws_negative_squares():
+    # the first normal of a noisy row that leaves a square negative is redrawn
+    spec = SWEEP["gauss-redraw"]
+    sigma = spec.noise[1].sigma_m
+    redrawn = 0
+    for i in range(1, spec.count, 2):
+        rng = np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=(i,)))
+        rho = generate_scenario(spec.n[(i // 2) % 3], rng=rng).pseudoranges
+        redrawn += bool(np.any(rho**2 + 2.0 * rho * sigma * rng.standard_normal(rho.shape) < 0))
+    assert redrawn >= 10
+
+
+def _reference_noise(ranges, model, rng, clamp):
+    """apply_noise's perturbation as a loop over one range vector: ranges, or the error."""
+    squares = np.asarray(ranges, dtype=float) ** 2
+    if isinstance(model, GaussianSq):
+        sigma_sq = 2.0 * np.sqrt(squares) * model.sigma_m
+        noisy = squares + sigma_sq * rng.standard_normal(squares.shape)
+        for _ in range(harness.MAX_NOISE_REDRAWS):
+            bad = noisy < 0.0
+            if not np.any(bad):
+                break
+            noisy[bad] = squares[bad] + sigma_sq[bad] * rng.standard_normal(int(bad.sum()))
+    elif isinstance(model, ConstantBias):
+        noisy = squares + model.delta_sq
+    else:
+        noisy = squares.copy()
+        noisy[model.index] += model.delta_sq
+    if np.any(noisy < 0.0):
+        if not clamp:
+            return NegativeSquare(
+                f"perturbation drove {int((noisy < 0).sum())} squared pseudorange(s) negative; "
+                "rerun with clamping enabled to floor them at zero")
+        noisy = np.maximum(noisy, 0.0)
+    return np.sqrt(noisy)
+
+
+@pytest.mark.parametrize("model", [GaussianSq(2.0e7), ConstantBias(-6.0e14),
+                                   SingleFault(2, -6.0e14)], ids=["gauss", "bias", "fault"])
+def test_apply_noise_draws_what_the_row_loop_draws(model):
+    # each model leaves some squares negative: the Gaussian redraws them,
+    # and the offsets clamp or raise
+    outcomes = set()
+    for seed in range(200):
+        sc = generate_scenario(6, seed=seed)
+        for clamp in (False, True):
+            rng, loop_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            expected = _reference_noise(sc.pseudoranges, model, loop_rng, clamp)
+            try:
+                got = apply_noise(sc, model, rng=rng, clamp=clamp).pseudoranges
+            except NegativeSquare as exc:
+                assert str(exc) == str(expected)
+                outcomes.add("raised")
+            else:
+                assert got.tobytes() == expected.tobytes()
+                outcomes.add("clamped" if 0.0 in got else "kept")
+            assert rng.normal() == loop_rng.normal()
+    assert outcomes == ({"kept"} if isinstance(model, GaussianSq)
+                        else {"kept", "raised", "clamped"})
+
+
 @pytest.mark.parametrize("ns, fault, error", [
     # row 1 takes the fault at n = ns[0] and row 3 at ns[1]: at index 5 it is a
     # negative square for n=6 and out of range for n=4; at index 4 an infinite
@@ -171,14 +247,18 @@ def test_stacked_batch_matches_row_by_row_reference(tmp_path, name):
     ((6, 4), SingleFault(4, np.inf), ValueError),
     ((4, 6), SingleFault(4, np.inf), BadShape),
     ((4, 3), None, BadShape),
+    # 1e9 m of noise leaves squares negative after the one redraw allowed here
+    ((6, 4), GaussianSq(1.0e9), NegativeSquare),
 ])
-def test_first_failing_row_raises_whatever_the_grouping(tmp_path, ns, fault, error):
+def test_first_failing_row_raises_whatever_the_grouping(tmp_path, monkeypatch, ns, fault, error):
+    monkeypatch.setattr(harness, "MAX_NOISE_REDRAWS", 1)
     spec = BatchSpec(count=8, n=ns, noise=(None, fault), seed=3)
     out = tmp_path / "failed.csv"
-    with pytest.raises(error):
+    with pytest.raises(error) as expected:
         reference_run_batch(spec, tmp_path / "reference.csv")
-    with pytest.raises(error):
+    with pytest.raises(error) as raised:
         run_batch(spec, out)
+    assert str(raised.value) == str(expected.value)
     assert not out.exists()
     assert not out.with_suffix(".summary.json").exists()
 
@@ -208,6 +288,38 @@ def test_linalg_calls_do_not_grow_with_the_row_count(monkeypatch):
         # draw round, and a redrawn lane costs a round for its whole group
         assert got["factor"] == 3 and got["eigh"] == 3, (count, got)
         assert 3 <= got["screen"] <= 6, (count, got)
+
+
+def test_row_stages_run_once_per_group_not_per_row(monkeypatch):
+    calls = {"_perturbed": 0, "squared_range_rows": 0, "norm": 0, "screen": 0, "EdmClass": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("_perturbed", "squared_range_rows"):
+        monkeypatch.setattr(harness, name, counted(name, getattr(harness, name)))
+    monkeypatch.setattr(np.linalg, "norm", counted("norm", np.linalg.norm))
+    svd = np.linalg.svd
+
+    def counted_svd(a, *args, **kwargs):
+        calls["screen"] += not kwargs.get("compute_uv", True)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    monkeypatch.setattr(edm_core.EdmClass, "__init__",
+                        counted("EdmClass", edm_core.EdmClass.__init__))
+    noise = (None, GaussianSq(2.0), ConstantBias(1.0e10))
+    for count in (60, 600):
+        memo.cache_clear()
+        calls.update(dict.fromkeys(calls, 0))
+        run_batch(BatchSpec(count=count, n=(4, 6, 12), noise=noise, seed=11))
+        # noise once per (anchor count, noise model), the range screen once
+        # per anchor count, one norm per draw round, and no EdmClass per row
+        assert calls["_perturbed"] == 6 and calls["squared_range_rows"] == 3, (count, calls)
+        assert calls["norm"] == calls["screen"] >= 3 and calls["EdmClass"] == 0, (count, calls)
 
 
 def test_noisy_batch_builds_no_scenario_and_applies_noise_to_arrays(monkeypatch):

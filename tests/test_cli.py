@@ -126,6 +126,21 @@ def test_missing_file_is_bad_input(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["check", "solve"])
+def test_directory_as_scenario_is_bad_input(tmp_path, capsys, command):
+    assert main([command, str(tmp_path)]) == 64
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("out", ["", "."], ids=["empty", "directory"])
+def test_simulate_to_an_unwritable_path_is_bad_input(tmp_path, monkeypatch, capsys, out):
+    # "" and "." both name the working directory, which cannot be opened as the CSV
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", "--count", "2", "--out", out]) == 64
+    assert "error:" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_malformed_json_is_bad_input(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

@@ -83,6 +83,14 @@ def test_batch_rejects_a_negative_count(tmp_path):
     assert not out.exists() and not out.with_suffix(".summary.json").exists()
 
 
+@pytest.mark.parametrize("grid", [{"n": ()}, {"noise": ()}])
+def test_batch_rejects_an_empty_grid(tmp_path, grid):
+    out = tmp_path / "empty.csv"
+    with pytest.raises(BadShape, match="must not be empty"):
+        run_batch(BatchSpec(count=3, **grid), out)
+    assert not out.exists() and not out.with_suffix(".summary.json").exists()
+
+
 @pytest.mark.parametrize("seed", [np.int64(3), np.uint32(3), 3])
 def test_numpy_integer_seed_is_recorded_and_round_trips(tmp_path, seed):
     sc = generate_scenario(6, seed=seed)
