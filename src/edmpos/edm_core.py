@@ -221,7 +221,9 @@ class AnchorStack(NamedTuple):
     centred, scaled anchors P, the position operator P_pinv, and the bundle
     arrays b, delta, P_eigen, Z and E (see EdmBundle).  ok[k] is False when
     the set failed the rank cut; a rejected row is finite and meaningless.
-    No per-lane object exists until lane(k) builds it.
+    A zero-filled set, which run_batch factors for a row that drew no
+    geometry, is such a rejected row, not an error.  No per-lane object
+    exists until lane(k) builds it.
     """
 
     centroid: np.ndarray
@@ -370,18 +372,13 @@ def augmented_edm_check(bundle: EdmBundle, y: np.ndarray) -> EdmClass:
     extension is a distance matrix of dimension k exactly when
     y*1' + 1*y' - D is positive semidefinite with rank k (it is twice the
     Gram matrix of the anchors relative to the new point).  This is the
-    one-lane case of augmented_edm_checks.
+    one-lane case of _augmented_eigs and _edm_classes.
     """
     y = np.asarray(y, dtype=float)
     n = bundle.n
     if y.shape != (n,):
         raise BadShape(f"expected a length-{n} vector, got shape {y.shape}")
-    return augmented_edm_checks(bundle.D[None], y[None])[0]
-
-
-def augmented_edm_checks(D: np.ndarray, Y: np.ndarray) -> list[EdmClass]:
-    """augmented_edm_check for (B, n, n) distance matrices and (B, n) vectors, one eigh."""
-    return _edm_classes(_augmented_eigs(D, Y))
+    return _edm_classes(_augmented_eigs(bundle.D[None], y[None]))[0]
 
 
 def _augmented_eigs(D: np.ndarray, Y: np.ndarray) -> np.ndarray:

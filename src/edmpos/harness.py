@@ -532,46 +532,52 @@ class _Row(NamedTuple):
     oracle_faulty: bool
 
 
+def _keep_first(failed: dict[int, Exception], errors) -> None:
+    """Record each (lane, error) pair whose lane has no error yet: a row keeps its first."""
+    for g, exc in errors:
+        failed.setdefault(g, exc)
+
+
 def _run_block(spec: BatchSpec, cells: list, rows: range) -> list[_Row]:
     """The solved rows of one block, in row order.
 
-    The rows of one anchor count stay in the arrays _draw_geometries draws
-    for them, and each stage runs once over such a group: generation, the
-    noise of each noise model (_perturbed), factoring, the range screen
-    (squared_range_rows) and the eigenvalue oracle, whose verdicts are read
-    as arrays (_classify_eigs).  So does the solve with method auto or
-    secular and no debiasing: solve_qcqp_block takes the group's rows at
-    once, and solve_qcqp (through _dispatch) only the lanes it hands back.
-    Other methods, and debiasing, solve row by row.  The block reads the
-    stacked factorization alone; a row gets a configuration and a bundle
-    only when it is solved row by row, and the oracle's distance matrices
-    come from the solved rows of the stack's P.  oracle_faulty means the
-    oracle does not extend the anchors at dimension r with the solver's
-    input vector.  Each row draws from its own generator exactly what it
-    would alone.  A row that fails skips its later stages, and the block
-    then raises the error of the first failing row, as a row-by-row loop
-    would.
+    The rows of one anchor count form a group, and row idx[g] keeps lane g of
+    the group's arrays from its draw to its _Row.  Each stage runs once over
+    the group: generation (_draw_geometries), the noise of each noise model
+    (_perturbed), one factor_anchor_stack of every lane (a lane that drew no
+    geometry is zero-filled, and the rank cut rejects it), one range screen
+    (squared_range_rows) and the eigenvalue oracle, read as arrays
+    (_classify_eigs).  With method auto or secular and no debiasing,
+    solve_qcqp_block solves the error-free lanes at once and solve_qcqp
+    (through _dispatch) the lanes it hands back; other methods, and
+    debiasing, solve row by row.  oracle_faulty means the oracle does not
+    extend the anchors at dimension r with the solver's input vector.  Each
+    row draws from its own generator exactly what it would alone.  A row
+    keeps the error of its first failing stage (draw, noise, factorization,
+    range screen, solve) and skips the later ones; the block raises the
+    lowest failing row's error, as a row-by-row loop would.
     """
     opts = spec.options
     in_block = spec.method in ("auto", "secular") and not opts.debias
-    failed: dict[int, Exception] = {}
     done = {}
     groups: dict[int, list[int]] = {}
     for i in rows:
         groups.setdefault(cells[i % len(cells)][0], []).append(i)
+    failures = {}  # anchor count -> {group lane: that row's first error}
 
     for n, idx in groups.items():
+        failed = failures[n] = {}
         rngs = [np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=(i,)))
                 for i in idx]
         try:
             sats, truth, ranges, drawn = _draw_geometries(n, spec.r, rngs)
         except BadShape as exc:
-            failed.update((i, exc) for i in idx)
+            _keep_first(failed, ((g, exc) for g in range(len(idx))))
             continue
-        by_cell: dict[int, list[int]] = {}  # the drawn group lanes that take each noise model
+        by_cell: dict[int, list[int]] = {}  # the drawn lanes that take each noise model
         for g, (i, ok) in enumerate(zip(idx, drawn.tolist())):
             if not ok:
-                failed[i] = _rejection()
+                _keep_first(failed, [(g, _rejection())])
             elif cells[i % len(cells)][1] is not None:
                 by_cell.setdefault(i % len(cells), []).append(g)
         for cell, gs in by_cell.items():
@@ -579,71 +585,63 @@ def _run_block(spec: BatchSpec, cells: list, rows: range) -> list[_Row]:
                 noisy, _, negative = _perturbed(ranges[gs], cells[cell][1],
                                                 [rngs[g] for g in gs], spec.clamp)
             except Exception as exc:  # a model that fails every row alike
-                failed.update((idx[g], exc) for g in gs)
+                _keep_first(failed, ((g, exc) for g in gs))
                 continue
             ranges[gs] = noisy
-            failed.update((idx[gs[b]], exc) for b, exc in negative.items())
-        live = [g for g, i in enumerate(idx) if i not in failed]
-        if not live:
-            continue
+            _keep_first(failed, ((gs[b], exc) for b, exc in negative.items()))
         try:
-            stack = factor_anchor_stack(sats[live], opts.scale)
+            stack = factor_anchor_stack(sats, opts.scale)
         except BadShape as exc:  # a scale no row can pass
-            failed.update((idx[g], exc) for g in live)
+            _keep_first(failed, ((g, exc) for g in range(len(idx))))
             continue
-        dm, rejected = squared_range_rows(ranges[live], opts.scale)
-        for k in rejected:
-            failed[idx[live[k]]] = range_error(opts.scale)
-        for k, ok in enumerate(stack.ok):
-            if not ok:  # the stacked factorization rejects a row before its range screen does
-                failed[idx[live[k]]] = stack.lane(k)
-        lanes = [k for k, g in enumerate(live) if idx[g] not in failed]  # stack lanes, row order
+        _keep_first(failed, ((g, stack.lane(g)) for g, ok in enumerate(stack.ok) if not ok))
+        dm, rejected = squared_range_rows(ranges, opts.scale)
+        _keep_first(failed, ((g, range_error(opts.scale)) for g in rejected))
+        lanes = [g for g in range(len(idx)) if g not in failed]
         if not lanes:
             continue
-        rows_of = [idx[live[k]] for k in lanes]
-        truth = truth[live][lanes]
-        inputs = dm[lanes]  # each lane's solver input, replaced where debiasing changes it
-        solved = {}  # position in lanes -> the row's _Row fields before oracle_faulty
+        dm = dm.copy()  # the solver inputs; debiasing overwrites the rows it changes
+        solved = {}  # lane -> the row's _Row fields between its label and oracle_faulty
         if in_block:
             t0 = time.perf_counter()
-            block = solve_qcqp_block(inputs, stack, lanes, opts.secular_tol,
+            block = solve_qcqp_block(dm[lanes], stack, lanes, opts.secular_tol,
                                      kappa_tol=opts.kappa_tol)
             share = (time.perf_counter() - t0) / max(1, int(block.plain.sum()))
-            miss = block.q / float(opts.scale) + stack.centroid[lanes] - truth
+            miss = block.q / float(opts.scale) + stack.centroid[lanes] - truth[lanes]
             # np.linalg.norm(v) is sqrt(v @ v); the stacked matmul gives each lane's v @ v
             pos_err = np.sqrt((miss[:, None, :] @ miss[:, :, None])[:, 0, 0])
-            for j, (i, plain, kappa, tag, lam, iters, err) in enumerate(zip(
-                    rows_of, block.plain.tolist(), block.kappa.tolist(), block.tag,
-                    block.lam.tolist(), block.iterations.tolist(), pos_err.tolist())):
+            for g, plain, kappa, tag, lam, iters, err in zip(
+                    lanes, block.plain.tolist(), block.kappa.tolist(), block.tag,
+                    block.lam.tolist(), block.iterations.tolist(), pos_err.tolist()):
                 if plain:
-                    solved[j] = (f"{spec.label_prefix}-{i:06d}", n, kappa, tag, lam, iters,
-                                 "secular-gen", err, share)
-        for j, (i, k) in enumerate(zip(rows_of, lanes)):
-            if j in solved:
+                    solved[g] = (n, kappa, tag, lam, iters, "secular-gen", err, share)
+        for g in lanes:
+            if g in solved:
                 continue
-            config, bundle = stack.lane(k)
+            config, bundle = stack.lane(g)
             try:
                 t0 = time.perf_counter()
-                y = _solver_input(dm[k], bundle, opts)
+                y = _solver_input(dm[g], bundle, opts)
                 report = _dispatch(y, config, bundle, spec.method, opts)
                 wall = time.perf_counter() - t0
             except Exception as exc:
-                failed[i] = exc
+                _keep_first(failed, [(g, exc)])
                 continue
-            inputs[j] = y
+            if opts.debias:
+                dm[g] = y
             v, lam = report.verdict, report.lambda_star
-            solved[j] = (f"{spec.label_prefix}-{i:06d}", n, float(v.kappa), v.tag,
-                         None if lam is None else float(lam), report.iterations, report.method,
-                         _norm(report.q - truth[j]), wall)
+            solved[g] = (n, float(v.kappa), v.tag, None if lam is None else float(lam),
+                         report.iterations, report.method, _norm(report.q - truth[g]), wall)
         order = sorted(solved)
         if order:
             edm, dims, _ = _classify_eigs(_augmented_eigs(
-                _squared_distances(stack.P[[lanes[j] for j in order]]), inputs[order]))
+                _squared_distances(stack.P[order]), dm[order]))
             faulty = ~(edm & (dims == spec.r))
-            for j, f in zip(order, faulty.tolist()):
-                done[rows_of[j]] = _Row(*solved[j], f)
-    if failed:
-        raise failed[min(failed)]
+            for g, f in zip(order, faulty.tolist()):
+                done[idx[g]] = _Row(f"{spec.label_prefix}-{idx[g]:06d}", *solved[g], f)
+    first = {groups[n][min(f)]: f[min(f)] for n, f in failures.items() if f}
+    if first:
+        raise first[min(first)]
     return [done[i] for i in rows]
 
 

@@ -22,8 +22,9 @@ import pytest
 from edmpos import edm_core, harness
 from edmpos.consistency import Verdict
 from edmpos.edm_core import (
+    _augmented_eigs,
+    _edm_classes,
     augmented_edm_check,
-    augmented_edm_checks,
     build_edm,
     factor_anchor_stack,
     factor_anchors,
@@ -263,6 +264,33 @@ def test_first_failing_row_raises_whatever_the_grouping(tmp_path, monkeypatch, n
     assert not out.with_suffix(".summary.json").exists()
 
 
+def test_rows_out_of_geometry_attempts_raise_geometry_rejection(tmp_path, monkeypatch):
+    # a tight condition cap leaves rows 0, 6, 9, 18, 19 and 21 without a
+    # geometry; their zero-filled lanes are factored with the rest, and the
+    # rank cut's SingularGeometry for them never replaces the draw's error
+    monkeypatch.setattr(harness, "DEFAULT_MAX_COND", 8.0)
+    monkeypatch.setattr(harness, "MAX_GEOMETRY_ATTEMPTS", 4)
+    spec = BatchSpec(count=24, n=(4, 6, 12), noise=(None, GaussianSq(2.0)), seed=0)
+    with pytest.raises(GeometryRejection) as expected:
+        reference_run_batch(spec, tmp_path / "reference.csv")
+    stacks = []
+
+    def recorded(raw, scale):
+        stacks.append(factor_anchor_stack(raw, scale))
+        return stacks[-1]
+
+    monkeypatch.setattr(harness, "factor_anchor_stack", recorded)
+    out = tmp_path / "failed.csv"
+    with pytest.raises(GeometryRejection) as raised:
+        run_batch(spec, out)
+    assert str(raised.value) == str(expected.value)
+    assert not out.exists()
+    assert not out.with_suffix(".summary.json").exists()
+    zero = [(stack, k) for stack in stacks for k in range(len(stack.ok)) if not stack.P[k].any()]
+    assert len(zero) == 6
+    assert all(isinstance(stack.lane(k), SingularGeometry) for stack, k in zero)
+
+
 def test_linalg_calls_do_not_grow_with_the_row_count(monkeypatch):
     calls = {"screen": 0, "factor": 0, "eigh": 0}
     svd, eigh = np.linalg.svd, np.linalg.eigh
@@ -371,7 +399,8 @@ def test_stacked_factorization_lanes_equal_factor_anchors(r):
             assert bundle.D is bundle.D and (bundle.n, bundle.r) == (n, r)
             D = np.stack([bundle.D, bundle.D])
             y = bundle.b + 1e-3 * rng.normal(size=(2, n))
-            assert augmented_edm_checks(D, y) == [augmented_edm_check(bundle, v) for v in y]
+            assert _edm_classes(_augmented_eigs(D, y)) == [augmented_edm_check(bundle, v)
+                                                           for v in y]
         raw[7, 2, 1] = np.nan
         with pytest.raises(BadShape):  # one non-finite coordinate fails the whole stack
             factor_anchor_stack(raw)
