@@ -140,6 +140,8 @@ class EdmBundle:
             basis, so for a difference z = y - b the single product E z holds
             every number the consistency test, the secular equation and the
             position read: w = P_eigen' z, the Gale coordinates Z' z and 1'z.
+            P_eigen, Z and E are read-only views of one buffer, [P_eigen Z 1],
+            of which E is the transpose.
         delta_sq: delta**2 as Python floats, the weights of the pseudoinverse
             quadratic form z' B^+ z = sum_i w_i**2 / delta_i**2.
         b_norm: |b|, the floor reference of the Gale residual.
@@ -219,7 +221,8 @@ class AnchorStack(NamedTuple):
 
     Row k of each stack belongs to anchor set k: its centroid (meters), the
     centred, scaled anchors P, the position operator P_pinv, and the bundle
-    arrays b, delta, P_eigen, Z and E (see EdmBundle).  ok[k] is False when
+    arrays b, delta, P_eigen, Z and E (see EdmBundle); P_eigen, Z and E are
+    views of one (B, n, n) buffer, [P_eigen Z 1].  ok[k] is False when
     the set failed the rank cut; a rejected row is finite and meaningless.
     A zero-filled set, which run_batch factors for a row that drew no
     geometry, is such a rejected row, not an error.  No per-lane object
@@ -289,10 +292,8 @@ def factor_anchor_stack(raw_points: np.ndarray, scale: float = DEFAULT_SCALE) ->
     P_pinv = (Wt.transpose(0, 2, 1) / s_div[:, None, :]) @ VU[:, :, :r].transpose(0, 2, 1)
     P_pinv = 2.0 * P_pinv - P_pinv @ P @ P_pinv
     b = np.einsum("bij,bij->bi", P, P)
-    P_eigen = VU[:, :, :r] * svals[:, None, :]
-    Z = VU[:, :, r:]
-    E = _measurement_operator(P_eigen, Z)
-    for a in (centroid, P, P_pinv, b, delta, P_eigen, Z, E):
+    P_eigen, Z, E = _measurement_operator(VU, svals, r)
+    for a in (centroid, P, P_pinv, b, delta):
         a.setflags(write=False)
     return AnchorStack(centroid=centroid, P=P, P_pinv=P_pinv, b=b, delta=delta,
                        P_eigen=P_eigen, Z=Z, E=E, ok=ok, scale=float(scale))
@@ -326,10 +327,9 @@ def factor_edm(D: np.ndarray) -> EdmBundle:
     B = V @ X @ V.T
     B = 0.5 * (B + B.T)
     b = np.diag(B).copy()
-    P_eigen = (V @ evecs[:, :r]) * np.sqrt(delta)
-    Z = V @ evecs[:, r:]
-    E = _measurement_operator(P_eigen[None], Z[None])[0]
-    for a in (D, b, Z, delta, P_eigen, E):
+    P_eigen, Z, E = (a[0] for a in _measurement_operator(
+        (V @ evecs)[None], np.sqrt(delta)[None], r))
+    for a in (D, b, delta):
         a.setflags(write=False)
     bundle = EdmBundle(b=b, Z=Z, r=r, delta=delta, P_eigen=P_eigen, E=E,
                        delta_sq=tuple([d * d for d in delta.tolist()]), b_norm=_norm(b))
@@ -337,12 +337,23 @@ def factor_edm(D: np.ndarray) -> EdmBundle:
     return bundle
 
 
-def _measurement_operator(P_eigen: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """The (B, n, n) stack of operators E = [P_eigen'; Z'; 1'] (see EdmBundle)."""
-    lanes, n, _ = P_eigen.shape
-    # concatenate keeps the layout of its inputs, which sets how E @ z sums
-    return np.concatenate(
-        [P_eigen.transpose(0, 2, 1), Z.transpose(0, 2, 1), np.ones((lanes, 1, n))], axis=1)
+def _measurement_operator(
+    VU: np.ndarray, s: np.ndarray, r: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """P_eigen, Z and E = [P_eigen'; Z'; 1'] (see EdmBundle) as views of one read-only buffer.
+
+    VU is the (B, n, n-1) stack of V times the left singular vectors (or
+    eigenvectors) and s the (B, r) scales of its first r columns.  The buffer
+    is M = [VU_r s, VU_{r:}, 1], filled in place, and E is its transpose, so
+    every E @ z reads the layout that sets how it sums.
+    """
+    lanes, n, _ = VU.shape
+    M = np.empty((lanes, n, n))
+    np.multiply(VU[..., :r], s[:, None, :], out=M[..., :r])
+    M[..., r:-1] = VU[..., r:]
+    M[..., -1] = 1.0
+    M.setflags(write=False)
+    return M[..., :r], M[..., r:-1], M.transpose(0, 2, 1)
 
 
 def _classify_eigs(evals: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -382,11 +393,11 @@ def augmented_edm_check(bundle: EdmBundle, y: np.ndarray) -> EdmClass:
 
 
 def _augmented_eigs(D: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """The (B, n) eigenvalues of the test matrices Y[k]*1' + 1*Y[k]' - D[k], from one eigh.
+    """The (B, n) eigenvalues of the test matrices Y[k]*1' + 1*Y[k]' - D[k], from one eigvalsh.
 
     _classify_eigs reads the oracle's verdicts off them as arrays, which is
     how run_batch scores its rows without an EdmClass per row.
     """
     M = Y[:, :, None] + Y[:, None, :] - D
     M = 0.5 * (M + M.transpose(0, 2, 1))
-    return np.linalg.eigh(M)[0]
+    return np.linalg.eigvalsh(M)

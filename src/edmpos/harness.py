@@ -265,7 +265,7 @@ def _draw_geometries(
             shell_rows.append(screened[pos])
             directions.append(direction)
             dnorms.append(dnorm)
-            radii.append(receiver_radius * rng.uniform() ** (1.0 / r))
+            radii.append(receiver_radius * rng.random() ** (1.0 / r))
         if kept:
             sats[kept] = shell[shell_rows]
             # radius * direction / dnorm for each kept lane, elementwise
@@ -493,13 +493,40 @@ class BatchStats:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
+def _percentile(s: list[float], q: float) -> float:
+    """np.percentile(s, 100 * q) of a sorted list of floats, bit for bit (method "linear").
+
+    The virtual index is (m - 1) * q.  At or past the last index numpy still
+    interpolates, between the last value and itself with weight index + 1,
+    which is why a list ending in inf gives nan.
+    """
+    v = (len(s) - 1) * q
+    if v >= len(s) - 1:
+        a = b = s[-1]
+        t = v + 1.0
+    else:
+        k = int(v)
+        a, b = s[k], s[k + 1]
+        t = v - k
+    d = b - a
+    return b - d * (1.0 - t) if t >= 0.5 else a + d * t
+
+
 def _error_stats(errors: list[float]) -> dict:
+    """mean, p50, p90, p99 and max of a list of floats, each bit for bit numpy's.
+
+    The percentiles are read off one sorted copy; a list holding a NaN has
+    nan for each of them, as np.percentile and np.max give.
+    """
     if not errors:
         return {"mean": None, "p50": None, "p90": None, "p99": None, "max": None}
-    arr = np.asarray(errors)
-    p50, p90, p99 = np.percentile(arr, [50, 90, 99]).tolist()
-    return {"mean": float(arr.mean()), "p50": p50, "p90": p90, "p99": p99,
-            "max": float(arr.max())}
+    mean = float(np.mean(errors))
+    # a NaN mean comes from a NaN or from inf - inf; only a NaN spoils the sort
+    if mean != mean and any(e != e for e in errors):
+        return {"mean": mean, "p50": mean, "p90": mean, "p99": mean, "max": mean}
+    s = sorted(errors)
+    return {"mean": mean, "p50": _percentile(s, 0.5), "p90": _percentile(s, 0.9),
+            "p99": _percentile(s, 0.99), "max": s[-1]}
 
 
 def _confusion_rates(conf: dict) -> dict:

@@ -5,7 +5,7 @@ noise, goes through prepare_scenario, the solver and the eigenvalue oracle on
 its own, and the summary takes each percentile with its own call.  The
 stacked run_batch must write the same CSV bytes and the same summary apart
 from the wall time, raise the same first error, and make a number of SVD and
-eigh calls that does not grow with the row count.  ``_reference_noise`` is
+eigvalsh calls that does not grow with the row count.  ``_reference_noise`` is
 apply_noise's perturbation as a loop over one range vector, which the
 stacked noise stage must match draw for draw.
 """
@@ -292,29 +292,29 @@ def test_rows_out_of_geometry_attempts_raise_geometry_rejection(tmp_path, monkey
 
 
 def test_linalg_calls_do_not_grow_with_the_row_count(monkeypatch):
-    calls = {"screen": 0, "factor": 0, "eigh": 0}
-    svd, eigh = np.linalg.svd, np.linalg.eigh
+    calls = {"screen": 0, "factor": 0, "eigvalsh": 0}
+    svd, eigvalsh = np.linalg.svd, np.linalg.eigvalsh
 
     def counted_svd(a, *args, **kwargs):
         calls["factor" if kwargs.get("compute_uv", True) else "screen"] += 1
         return svd(a, *args, **kwargs)
 
-    def counted_eigh(a, *args, **kwargs):
-        calls["eigh"] += 1
-        return eigh(a, *args, **kwargs)
+    def counted_eigvalsh(a, *args, **kwargs):
+        calls["eigvalsh"] += 1
+        return eigvalsh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
-    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
     seen = {}
     for count in (60, 600):
         memo.cache_clear()
-        calls.update(screen=0, factor=0, eigh=0)
+        calls.update(screen=0, factor=0, eigvalsh=0)
         run_batch(BatchSpec(count=count, n=(4, 6, 12), noise=(None, GaussianSq(2.0)), seed=11))
         seen[count] = dict(calls)
     for count, got in seen.items():
-        # one factorization and one oracle eigh per anchor count; one screen per
+        # one factorization and one oracle eigvalsh per anchor count; one screen per
         # draw round, and a redrawn lane costs a round for its whole group
-        assert got["factor"] == 3 and got["eigh"] == 3, (count, got)
+        assert got["factor"] == 3 and got["eigvalsh"] == 3, (count, got)
         assert 3 <= got["screen"] <= 6, (count, got)
 
 

@@ -6,6 +6,9 @@ import pytest
 from edm_helpers import classify_edm, edm_from_gram, gram_from_edm
 from edmpos.edm_core import (
     EdmClass,
+    _augmented_eigs,
+    _classify_eigs,
+    _squared_distances,
     augmented_edm_check,
     build_edm,
     build_v_basis,
@@ -279,6 +282,37 @@ def test_augmented_check_examples():
     simplex_bundle = factor_edm(SIMPLEX_D)
     sunk = augmented_edm_check(simplex_bundle, simplex_bundle.b - np.ones(4))
     assert not sunk.is_edm
+
+
+@pytest.mark.parametrize("n", [4, 6, 12, "flat"])
+def test_eigenvalues_only_oracle_decides_every_lane_as_eigh(n):
+    """_augmented_eigs computes no eigenvectors; eigh's eigenvalues decide every lane alike."""
+    rng = np.random.default_rng(113)
+    lanes, flat = 300, n == "flat"
+    n = 6 if flat else n
+    pts = rng.normal(size=(lanes, n, 3))
+    P = 2.66 * pts / np.linalg.norm(pts, axis=2)[:, :, None]  # the scaled frame's shell
+    q = 0.64 * rng.uniform(-1.0, 1.0, size=(lanes, 3))
+    if flat:  # anchors in one plane, and half the receivers in it too
+        P[:, :, 2] = 0.3
+        q[::2, 2] = 0.3
+    D = _squared_distances(P)
+    exact = np.einsum("bij,bij->bi", P - q[:, None, :], P - q[:, None, :])
+    noisy = exact + 10.0 ** rng.uniform(-10, -4, size=(lanes, 1)) * rng.normal(size=(lanes, n))
+    faulted = exact.copy()
+    faulted[np.arange(lanes), rng.integers(n, size=lanes)] += (
+        rng.choice([-1.0, 1.0], size=lanes) * 10.0 ** rng.uniform(-8, 1, size=lanes))
+    seen = set()
+    for Y in (exact, noisy, faulted):
+        M = Y[:, :, None] + Y[:, None, :] - D
+        M = 0.5 * (M + M.transpose(0, 2, 1))
+        want_edm, want_dim, _ = _classify_eigs(np.linalg.eigh(M)[0])
+        got_edm, got_dim, _ = _classify_eigs(_augmented_eigs(D, Y))
+        assert np.array_equal(got_edm, want_edm) and np.array_equal(got_dim, want_dim)
+        seen |= set(zip(want_edm.tolist(), np.where(want_edm, want_dim, -1).tolist()))
+    # the stacks reach the cut from both sides: extensions at dimension 3 and 4
+    # (2 and 3 when flat) and rejected ones
+    assert seen >= ({(True, 2), (True, 3)} if flat else {(True, 3), (True, 4)}) | {(False, -1)}
 
 
 def test_augmented_check_rejects_bad_length():

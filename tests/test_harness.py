@@ -1,7 +1,9 @@
 """Scenario generation, noise models, pipeline, and the batch driver."""
 
 import csv
+import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from edmpos.harness import (
     PipelineOptions,
     Scenario,
     SingleFault,
+    _error_stats,
     apply_noise,
     generate_scenario,
     prepare_scenario,
@@ -47,6 +50,55 @@ def test_generate_scenario_frozen_snapshot():
     assert sc.true_receiver[0] == -2964606.0597109366
     assert sc.true_receiver[1] == 3972745.434831254
     assert sc.true_receiver[2] == 130905.27809595772
+
+
+# sha256 of the satellites, true_receiver and pseudoranges bytes, in that order
+GENERATION_SHA256 = {
+    (4, 0): "698025cd5cdcd25c208b9a5214f25607b9c062c4ca0bc2717ca61ce0c56f3551",
+    (4, 1): "427f985c9ac074c2b371c3f756156d5c7b6eb8eeef9683552ef6f512435d630d",
+    (6, 0): "9ce8a63657af032ceb3501b9215273aa4be8711f102f330d9c94b973b9e1774a",
+    (6, 1): "3dd95b67c34184988ab5b955f02ffe034798c40c520a5023bfbe1532e135e3e5",
+    (12, 0): "4420afe120fe8e44ba90b99baf577b80b2065f5a6a8eb7795bae35c7b078c904",
+    (12, 1): "446db61102d2afc697eab274c5f1a043a8d3f5c8708803fdd45dc29ca31cc2ad",
+}
+
+
+@pytest.mark.parametrize("n, seed", sorted(GENERATION_SHA256))
+def test_generate_scenario_stream_is_pinned(n, seed):
+    """Every drawn bit of a scenario is pinned, so a change to how it is drawn shows."""
+    sc = generate_scenario(n, seed=seed)
+    h = hashlib.sha256()
+    for a in (sc.satellites, sc.true_receiver, sc.pseudoranges):
+        h.update(np.ascontiguousarray(a, dtype=float).tobytes())
+    assert h.hexdigest() == GENERATION_SHA256[n, seed]
+
+
+def _assert_stats_are_numpys(errors):
+    got = _error_stats(errors)
+    arr = np.asarray(errors)
+    with np.errstate(invalid="ignore"):  # numpy warns where an inf meets an inf
+        want = np.percentile(arr, [50, 90, 99]).tolist() + [arr.max(), arr.mean()]
+    for key, w in zip(("p50", "p90", "p99", "max", "mean"), want):
+        g = got[key]
+        assert math.isnan(g) if math.isnan(w) else float(g).hex() == float(w).hex(), (errors, key)
+
+
+@pytest.mark.parametrize("ties", [False, True])
+def test_error_stats_percentiles_are_numpys_bit_for_bit(ties):
+    rng = np.random.default_rng(29)
+    for m in range(1, 401):
+        arr = rng.exponential(3.0, size=m)
+        if ties:
+            arr = np.floor(arr)  # mostly 0, 1 and 2: long runs of equal values
+        _assert_stats_are_numpys(arr.tolist())
+
+
+@pytest.mark.parametrize("errors", [
+    [math.inf], [1.0, math.inf], [-math.inf, 1.0], [math.nan], [1.0, math.nan, 2.0],
+    [math.inf, math.nan], [3.0, 1.0, math.nan, 2.0, 2.0],
+])
+def test_error_stats_of_infinities_and_nans_are_numpys(errors):
+    _assert_stats_are_numpys(errors)
 
 
 def test_generate_scenario_geometry():
