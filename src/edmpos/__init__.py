@@ -19,10 +19,8 @@ from .edm_core import (
     EdmClass,
     SatelliteConfig,
     augmented_edm_check,
-    build_edm,
     build_v_basis,
     factor_anchors,
-    factor_edm,
 )
 from .errors import (
     BadShape,
@@ -31,7 +29,6 @@ from .errors import (
     GeometryRejection,
     NegativeSquare,
     NoConvergence,
-    NotAnEdm,
     PoleEvaluation,
     SingularGeometry,
 )
@@ -49,11 +46,10 @@ from .harness import (
     run_batch,
     run_pipeline,
 )
-from .position import PositionFix, recover_position
+from .position import PositionFix
 from .report import SolveReport
 from .solver_general import (
     SecularProblemGen,
-    build_secular_general,
     eval_f,
     nlp_oracle,
     solve_qcqp,
@@ -77,7 +73,6 @@ __all__ = [
     "Measurement",
     "NegativeSquare",
     "NoConvergence",
-    "NotAnEdm",
     "PipelineOptions",
     "PoleEvaluation",
     "PositionFix",
@@ -90,18 +85,14 @@ __all__ = [
     "Verdict",
     "apply_noise",
     "augmented_edm_check",
-    "build_edm",
-    "build_secular_general",
     "build_v_basis",
     "clock_bias_estimate",
     "eval_f",
     "factor_anchors",
-    "factor_edm",
     "generate_scenario",
     "kappa",
     "nlp_oracle",
     "prepare_scenario",
-    "recover_position",
     "run_batch",
     "run_pipeline",
     "self_consistency_test",

@@ -20,7 +20,6 @@ from .errors import (
     GaleInfeasible,
     GeometryRejection,
     NoConvergence,
-    NotAnEdm,
     PoleEvaluation,
     SingularGeometry,
 )
@@ -44,7 +43,7 @@ EXIT_BAD_INPUT = 64
 
 
 def _exit_code_for(exc: Exception) -> int:
-    if isinstance(exc, (SingularGeometry, GeometryRejection, GaleInfeasible, NotAnEdm)):
+    if isinstance(exc, (SingularGeometry, GeometryRejection, GaleInfeasible)):
         return EXIT_INFEASIBLE
     if isinstance(exc, (NoConvergence, PoleEvaluation)):
         return EXIT_NO_CONVERGENCE

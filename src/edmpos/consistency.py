@@ -41,45 +41,37 @@ MAX_SCALED_RANGE = 1.0 / np.finfo(float).eps
 
 @dataclass(frozen=True)
 class Measurement:
-    """Measured pseudoranges: meters as reported, squared in the scaled frame.
+    """Measured pseudoranges, squared in the scaled frame.
 
-    dm[i] = (scale * raw_ranges[i])**2, always non-negative, with
-    scale * raw_ranges[i] <= MAX_SCALED_RANGE.
+    dm[i] = (scale * range_i)**2, read-only, always non-negative, with
+    scale * range_i <= MAX_SCALED_RANGE.
     """
 
     dm: np.ndarray
-    raw_ranges: np.ndarray
-    n: int
 
     @classmethod
     def from_ranges(cls, ranges_m: np.ndarray, scale: float) -> "Measurement":
-        dm = squared_ranges(ranges_m, scale)
-        raw = _readonly(np.array(ranges_m, dtype=float))
-        return cls(dm=dm, raw_ranges=raw, n=raw.shape[0])
+        """Screen and square a 1-D range vector in meters.
 
-
-def squared_ranges(ranges_m: np.ndarray, scale: float) -> np.ndarray:
-    """Measurement.dm of a 1-D range vector in meters: screened, squared, read-only.
-
-    This is the one-row case of squared_range_rows; a vector outside the
-    screen raises range_error(scale).
-    """
-    raw = np.asarray(ranges_m, dtype=float)
-    if raw.ndim != 1:
-        raise BadShape(f"expected a 1-D range vector, got shape {raw.shape}")
-    dm, rejected = squared_range_rows(raw, scale)
-    if rejected:
-        raise range_error(scale)
-    return dm
+        This is the one-row case of squared_range_rows; a vector outside the
+        screen raises range_error(scale).
+        """
+        raw = np.asarray(ranges_m, dtype=float)
+        if raw.ndim != 1:
+            raise BadShape(f"expected a 1-D range vector, got shape {raw.shape}")
+        dm, rejected = squared_range_rows(raw, scale)
+        if rejected:
+            raise range_error(scale)
+        return cls(dm=dm)
 
 
 def squared_range_rows(ranges_m: np.ndarray, scale: float) -> tuple[np.ndarray, list[int]]:
-    """squared_ranges for each row of a (B, n) float range array, or of one (n,) row, in one pass.
+    """Measurement.dm for each row of a (B, n) float range array, or of one (n,) row, in one pass.
 
     Returns the read-only squares (scale * range)**2, of the input's shape,
     and the rows outside [0, MAX_SCALED_RANGE / scale] m, for which
-    squared_ranges raises range_error(scale); such a row is squared as
-    zeros.  One minimum and one maximum over the whole array decide a group
+    Measurement.from_ranges raises range_error(scale); such a row is squared
+    as zeros.  One minimum and one maximum over the whole array decide a group
     whose rows all pass, so only a group holding a failing row is screened
     row by row.
     """
@@ -99,7 +91,7 @@ def squared_range_rows(ranges_m: np.ndarray, scale: float) -> tuple[np.ndarray, 
 
 
 def range_error(scale: float) -> ValueError:
-    """The error squared_ranges raises for a range vector outside its screen."""
+    """The error Measurement.from_ranges raises for a range vector outside its screen."""
     return ValueError(f"pseudoranges must lie in [0, {MAX_SCALED_RANGE / scale:.2e}] m")
 
 

@@ -16,13 +16,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BadShape, NotAnEdm, SingularGeometry
+from .errors import BadShape, SingularGeometry
 
 # rank cut: a Gram eigenvalue (sigma^2 of the centred anchors) counts if > this * max(lambda_max, 1)
 DEFAULT_RANK_TOL = 1e-9
 DEFAULT_SCALE = 1e-7
-# largest asymmetry and diagonal entry accepted in a distance matrix, relative to max(|D|, 1)
-HOLLOW_SYMMETRIC_RTOL = 1e-12
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -54,11 +52,6 @@ class SatelliteConfig:
     r: int
     scale: float
     P_pinv: np.ndarray = field(repr=False, compare=False)
-
-
-def build_edm(config: SatelliteConfig) -> np.ndarray:
-    """Matrix of pairwise squared distances between the configured anchors."""
-    return _squared_distances(config.P[None])[0]
 
 
 def _squared_distances(P: np.ndarray) -> np.ndarray:
@@ -114,27 +107,22 @@ class EdmClass:
 
 @dataclass(frozen=True)
 class EdmBundle:
-    """Factorization of one squared-distance matrix, reused by every downstream step.
+    """Factorization of one anchor geometry, reused by every downstream step.
 
-    With V the orthonormal complement basis of the ones vector, X = -V' D V / 2
-    is the projected Gram matrix and B = V X V' the centered Gram matrix.
-    Two routes build it: factor_anchors from one SVD V'P = U S W' of the
-    centred anchors (X = U S^2 U'), and factor_edm from an eigh of X for a
-    distance matrix given directly.  The two agree on delta, b, P_eigen P_eigen'
-    and Z Z' to round-off; the columns of P_eigen are fixed only up to sign
-    and those of Z up to a rotation.
+    With V the orthonormal complement basis of the ones vector, D the
+    anchors' squared-distance matrix, X = -V' D V / 2 is the projected Gram
+    matrix and B = V X V' the centered Gram matrix.  factor_anchors builds
+    the bundle from one SVD V'P = U S W' of the centred anchors, so
+    X = U S^2 U'.
 
     Fields:
         b: diagonal of B, the squared norms of the centred anchors.
         Z: orthonormal basis of the null space of [P 1]', (n, n-1-r); empty
-           when n = r + 1.  V times the eigenvectors of X (or the left
-           singular vectors of V'P) for the values at or below the rank cut.
+           when n = r + 1.  V times the trailing left singular vectors of V'P.
         r: embedding dimension (rank of X).
-        delta: eigenvalues of X above the rank cut, descending (S**2 on the
-            SVD route).
-        P_eigen: centered eigen realization (V W) sqrt(delta), (n, r), with W
-            the eigenvectors of X for delta (V U_r S on the SVD route); its
-            Gram matrix is B.
+        delta: S**2, the eigenvalues of X above the rank cut, descending.
+        P_eigen: centered eigen realization V U_r S, (n, r); its Gram matrix
+            is B.
         E: the (n, n) measurement operator [P_eigen'; Z'; 1'].  The columns
             of P_eigen / sqrt(delta), Z and 1 / sqrt(n) form an orthonormal
             basis, so for a difference z = y - b the single product E z holds
@@ -145,12 +133,10 @@ class EdmBundle:
         delta_sq: delta**2 as Python floats, the weights of the pseudoinverse
             quadratic form z' B^+ z = sum_i w_i**2 / delta_i**2.
         b_norm: |b|, the floor reference of the Gale residual.
-        points: on the SVD route, the (n, r) centred anchors P that D is
-            built from; None on the eigh route, whose D is the one given.
+        points: the (n, r) centred anchors P that D is built from.
 
-    D, the (n, n) squared-distance matrix itself, is lazy: only the
-    eigenvalue oracle reads it, so the SVD route builds it (bitwise
-    build_edm of the configuration, read-only) the first time it is read.
+    D itself is lazy: only the eigenvalue oracle reads it, so it is built
+    from points, read-only, the first time it is read.
     """
 
     b: np.ndarray
@@ -161,7 +147,7 @@ class EdmBundle:
     E: np.ndarray
     delta_sq: tuple[float, ...]
     b_norm: float
-    points: np.ndarray | None = field(default=None, repr=False, compare=False)
+    points: np.ndarray = field(repr=False, compare=False)
 
     @cached_property
     def D(self) -> np.ndarray:
@@ -170,18 +156,6 @@ class EdmBundle:
     @property
     def n(self) -> int:
         return self.b.shape[0]
-
-
-def _check_hollow_symmetric(D: np.ndarray) -> np.ndarray:
-    D = np.asarray(D, dtype=float)
-    if D.ndim != 2 or D.shape[0] != D.shape[1]:
-        raise BadShape(f"expected a square matrix, got shape {D.shape}")
-    scale = max(float(np.abs(D).max()), 1.0)
-    if float(np.abs(D - D.T).max()) > HOLLOW_SYMMETRIC_RTOL * scale:
-        raise BadShape("matrix is not symmetric")
-    if float(np.abs(np.diag(D)).max()) > HOLLOW_SYMMETRIC_RTOL * scale:
-        raise BadShape("matrix diagonal is not zero")
-    return 0.5 * (D + D.T)
 
 
 def factor_anchors(
@@ -194,8 +168,8 @@ def factor_anchors(
     position operator P_pinv = W S^-1 (V U_r)', and the bundle with
     delta = S**2, P_eigen = V U_r S and the Gale basis Z = V U_{r:} (the
     trailing left singular vectors, which is why the SVD is of V'P rather
-    than of P).  b is the squared row norms of P; D = build_edm(config) is
-    built on first read.  P_pinv then takes one Newton-Schulz step,
+    than of P).  b is the squared row norms of P; D is built from P on
+    first read.  P_pinv then takes one Newton-Schulz step,
     X <- 2X - X P X: the SVD's product carries round-off that puts some
     exact four-anchor fixes over 1e-6 m from the truth, and the step cuts
     the largest entry of P_pinv P - I about fourfold at n = 4.
@@ -203,9 +177,8 @@ def factor_anchors(
     This is the one-lane case of factor_anchor_stack.  Raises BadShape if
     the points have no coordinates, fewer than r+1 points are given or a
     coordinate is not finite, and SingularGeometry if
-    S[r-1]**2 <= DEFAULT_RANK_TOL * max(S[0]**2, 1), the cut factor_edm
-    applies to its eigenvalues, so every accepted configuration has a bundle
-    of rank r.
+    S[r-1]**2 <= DEFAULT_RANK_TOL * max(S[0]**2, 1), so every accepted
+    configuration has a bundle of rank r.
     """
     raw = np.asarray(raw_points, dtype=float)
     if raw.ndim != 2:
@@ -292,68 +265,17 @@ def factor_anchor_stack(raw_points: np.ndarray, scale: float = DEFAULT_SCALE) ->
     P_pinv = (Wt.transpose(0, 2, 1) / s_div[:, None, :]) @ VU[:, :, :r].transpose(0, 2, 1)
     P_pinv = 2.0 * P_pinv - P_pinv @ P @ P_pinv
     b = np.einsum("bij,bij->bi", P, P)
-    P_eigen, Z, E = _measurement_operator(VU, svals, r)
-    for a in (centroid, P, P_pinv, b, delta):
-        a.setflags(write=False)
-    return AnchorStack(centroid=centroid, P=P, P_pinv=P_pinv, b=b, delta=delta,
-                       P_eigen=P_eigen, Z=Z, E=E, ok=ok, scale=float(scale))
-
-
-def factor_edm(D: np.ndarray) -> EdmBundle:
-    """Factor a squared-distance matrix into the bundle used by the solvers.
-
-    This is the route for a distance matrix given directly, as in the paper's
-    setting; anchor coordinates go through factor_anchors, which reaches the
-    same bundle from one SVD.  Raises NotAnEdm when the projected Gram matrix
-    has an eigenvalue below -DEFAULT_RANK_TOL * max(|eigenvalues|, 1).
-    """
-    D = _check_hollow_symmetric(D)
-    n = D.shape[0]
-    V = build_v_basis(n)
-    X = -0.5 * (V.T @ D @ V)
-    X = 0.5 * (X + X.T)
-    evals, evecs = np.linalg.eigh(X)
-    thr = DEFAULT_RANK_TOL * max(float(np.abs(evals).max(initial=0.0)), 1.0)
-    if evals[0] < -thr:
-        raise NotAnEdm(
-            f"projected Gram matrix has eigenvalue {evals[0]:.6e} below -{thr:.1e}",
-            witness=float(evals[0]),
-        )
-    # descending order; everything above the cut is signal, the rest is null space
-    evals = evals[::-1].copy()
-    evecs = evecs[:, ::-1]
-    r = int(np.count_nonzero(evals > thr))
-    delta = evals[:r].copy()
-    B = V @ X @ V.T
-    B = 0.5 * (B + B.T)
-    b = np.diag(B).copy()
-    P_eigen, Z, E = (a[0] for a in _measurement_operator(
-        (V @ evecs)[None], np.sqrt(delta)[None], r))
-    for a in (D, b, delta):
-        a.setflags(write=False)
-    bundle = EdmBundle(b=b, Z=Z, r=r, delta=delta, P_eigen=P_eigen, E=E,
-                       delta_sq=tuple([d * d for d in delta.tolist()]), b_norm=_norm(b))
-    bundle.__dict__["D"] = D  # D is given, so the lazy property has nothing to build
-    return bundle
-
-
-def _measurement_operator(
-    VU: np.ndarray, s: np.ndarray, r: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """P_eigen, Z and E = [P_eigen'; Z'; 1'] (see EdmBundle) as views of one read-only buffer.
-
-    VU is the (B, n, n-1) stack of V times the left singular vectors (or
-    eigenvectors) and s the (B, r) scales of its first r columns.  The buffer
-    is M = [VU_r s, VU_{r:}, 1], filled in place, and E is its transpose, so
-    every E @ z reads the layout that sets how it sums.
-    """
-    lanes, n, _ = VU.shape
+    # one buffer M = [VU_r S, VU_{r:}, 1] = [P_eigen Z 1], filled in place; E is
+    # its transpose, the layout that sets how every E @ z sums
     M = np.empty((lanes, n, n))
-    np.multiply(VU[..., :r], s[:, None, :], out=M[..., :r])
+    np.multiply(VU[..., :r], svals[:, None, :], out=M[..., :r])
     M[..., r:-1] = VU[..., r:]
     M[..., -1] = 1.0
-    M.setflags(write=False)
-    return M[..., :r], M[..., r:-1], M.transpose(0, 2, 1)
+    for a in (centroid, P, P_pinv, b, delta, M):
+        a.setflags(write=False)
+    return AnchorStack(centroid=centroid, P=P, P_pinv=P_pinv, b=b, delta=delta,
+                       P_eigen=M[..., :r], Z=M[..., r:-1], E=M.transpose(0, 2, 1), ok=ok,
+                       scale=float(scale))
 
 
 def _classify_eigs(evals: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -13,17 +13,6 @@ class SingularGeometry(EdmPosError):
     """Anchor points do not affinely span the requested dimension."""
 
 
-class NotAnEdm(EdmPosError):
-    """Matrix fails the distance-matrix membership test.
-
-    Carries the offending eigenvalue in ``witness`` when available.
-    """
-
-    def __init__(self, message: str, witness: float | None = None):
-        super().__init__(message)
-        self.witness = witness
-
-
 class PoleEvaluation(EdmPosError):
     """Secular function evaluated too close to one of its poles."""
 

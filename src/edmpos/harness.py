@@ -111,30 +111,46 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
+        """The scenario a JSON object describes; BadShape names what is missing or misshapen."""
+        if not isinstance(data, dict):
+            raise BadShape(f"a scenario is a JSON object, got {type(data).__name__}")
         schema = data.get("schema")
         if schema != SCENARIO_SCHEMA:
             raise BadShape(f"unsupported scenario schema {schema!r}")
+        missing = [key for key in ("satellites", "pseudoranges") if key not in data]
+        if missing:
+            raise BadShape(f"scenario lacks {' and '.join(missing)}")
         sats = np.asarray(data["satellites"], dtype=float)
         ranges = np.asarray(data["pseudoranges"], dtype=float)
         if sats.ndim != 2 or ranges.shape != (sats.shape[0],):
             raise BadShape("satellite and pseudorange shapes do not match")
-        dim = int(data.get("dim", sats.shape[1]))
+        dim = data.get("dim")
+        try:
+            dim = sats.shape[1] if dim is None else int(dim)
+        except (TypeError, ValueError) as exc:
+            raise BadShape(f"dim must be an integer, got {dim!r}") from exc
         if dim != sats.shape[1]:
             raise BadShape(f"dim {dim} does not match the {sats.shape[1]}-column satellites")
+        receiver = data.get("true_receiver")
+        if receiver is not None:
+            receiver = np.asarray(receiver, dtype=float)
+            if receiver.shape != (dim,):
+                raise BadShape(f"true_receiver needs {dim} coordinates, got {receiver.shape}")
         fault = data.get("fault")
+        if fault:
+            try:
+                fault = (int(fault["index"]), float(fault["delta_sq"]))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise BadShape(f"fault needs an index and a delta_sq, got {fault!r}") from exc
         return cls(
             label=data.get("label", ""),
             dim=dim,
             satellites=sats,
             pseudoranges=ranges,
-            true_receiver=(
-                np.asarray(data["true_receiver"], dtype=float)
-                if "true_receiver" in data
-                else None
-            ),
+            true_receiver=receiver,
             true_bias=data.get("true_bias"),
             noise_sigma=data.get("noise_sigma"),
-            fault=(int(fault["index"]), float(fault["delta_sq"])) if fault else None,
+            fault=fault or None,
             seed=data.get("seed"),
         )
 

@@ -6,9 +6,9 @@ is therefore -2 P q, and q = -P_pinv u / 2 with P_pinv the anchor
 configuration's stored position operator.  The Gale residual that decides
 whether y is realizable at all, and the offset 1'(y - b) = n |q|^2 behind the
 |q|^2 cross-check, come from the bundle's measurement operator
-(consistency.eigen_coordinates).  recover_position does this for an arbitrary
-vector; the solvers' shared tail calls position_from_coordinates with the
-coordinates it has already read for its y_star.
+(consistency.eigen_coordinates).  The solvers' shared tail calls
+position_from_coordinates with the coordinates it has already read for its
+y_star.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .consistency import DEFAULT_GALE_TOL, EigenCoordinates, as_vector, eigen_coordinates
+from .consistency import DEFAULT_GALE_TOL, EigenCoordinates
 from .edm_core import EdmBundle, SatelliteConfig
 from .errors import BadShape, GaleInfeasible
 
@@ -47,27 +47,16 @@ class PositionFix:
         }
 
 
-def recover_position(y_star, bundle: EdmBundle, config: SatelliteConfig) -> PositionFix:
-    """Solve 2 P q = |q|^2 * 1 + b - y for the unique receiver point q.
+def position_from_coordinates(
+    coords: EigenCoordinates, bundle: EdmBundle, config: SatelliteConfig
+) -> PositionFix:
+    """Solve 2 P q = |q|^2 * 1 + b - y for the receiver q, from the coordinates of y - b.
 
     The system is consistent only when y - b lies in the column space of
     [P 1]; for n > r+1 that is checked through the null-space residual and a
     violation raises GaleInfeasible.  Multiplying out the ones-component gives
-    |q|^2 = mean(y - b) and the remaining least-squares system is solved
-    by the configuration's stored position operator P_pinv.
-    """
-    y = as_vector(y_star, bundle.n)
-    return position_from_coordinates(eigen_coordinates(y, bundle), bundle, config)
-
-
-def position_from_coordinates(
-    coords: EigenCoordinates, bundle: EdmBundle, config: SatelliteConfig
-) -> PositionFix:
-    """Receiver from the coordinates of y - b.
-
-    Raises BadShape and GaleInfeasible as recover_position documents;
-    q = -P_pinv u / 2 with u the centred part of y - b, and |q|^2 is read
-    off as 1'(y - b) / n.
+    |q|^2 = 1'(y - b) / n, and q = -P_pinv u / 2 with u the centred part of
+    y - b.  Raises BadShape when config and bundle differ in anchor count.
     """
     if config.n != bundle.n:
         raise BadShape(f"configuration has {config.n} anchors, bundle has {bundle.n}")

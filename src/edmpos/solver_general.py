@@ -17,9 +17,10 @@ verdict, the degeneracy test and the secular data are all built from those
 numbers.  The closed-form routes then end in closed form too: with the
 coordinates x and offset s of the projection, y_star = P_eigen x + s + b.
 One more product with E on the float y_star - b gives the reported
-kappa_residual, the Gale residual of the y_star actually returned, which is
-checked exactly as position.recover_position checks it, and the offset
-1'(y_star - b) that centres y_star - b for the receiver q = -P_pinv u / 2.
+kappa_residual, the Gale residual of the y_star actually returned, which
+position.position_from_coordinates checks against DEFAULT_GALE_TOL, and
+the offset 1'(y_star - b) that centres y_star - b for the receiver
+q = -P_pinv u / 2.
 
 The secular root is found by Newton steps from lam = 0, where f = -kappa is
 already known.  f is increasing and convex on either bracket, so the
@@ -63,7 +64,7 @@ from .consistency import (
     verdict_of,
 )
 from .edm_core import AnchorStack, EdmBundle, SatelliteConfig
-from .errors import NoConvergence, PoleEvaluation, SingularGeometry
+from .errors import NoConvergence, PoleEvaluation
 from .position import position_from_coordinates
 from .report import SolveReport
 from .rootfind import find_root_increasing
@@ -122,14 +123,7 @@ class SecularProblemGen:
     poles: tuple[tuple[float, float, float], ...]
 
 
-def build_secular_general(dm, bundle: EdmBundle) -> SecularProblemGen:
-    """Assemble the general secular problem from the measurement and bundle."""
-    return _secular_problem(eigen_coordinates(as_vector(dm, bundle.n), bundle), bundle)
-
-
 def _secular_problem(coords: EigenCoordinates, bundle: EdmBundle) -> SecularProblemGen:
-    if bundle.r == 0:
-        raise SingularGeometry("anchor geometry has rank zero")
     nu = bundle.delta
     nus = nu.tolist()
     bottom_edge = nus[-1] * (1.0 + BOTTOM_GROUP_RTOL)

@@ -13,16 +13,12 @@ from edmpos.consistency import (
     Measurement,
     Verdict,
     clock_bias_estimate,
+    eigen_coordinates,
     kappa,
     kappa_band,
     self_consistency_test,
 )
-from edmpos.edm_core import (
-    augmented_edm_check,
-    build_edm,
-    factor_anchors,
-    factor_edm,
-)
+from edmpos.edm_core import augmented_edm_check, factor_anchors
 from edmpos.errors import SingularGeometry
 from edmpos.harness import (
     BatchSpec,
@@ -39,7 +35,7 @@ from edmpos.harness import (
 )
 from edmpos.solver_general import (
     _quartic_pieces,
-    build_secular_general,
+    _secular_problem,
     eval_f,
     multiplier_bracket,
     nlp_oracle,
@@ -67,13 +63,13 @@ def make_instance(rng, n, radius=2.66e7):
         pts = rng.normal(size=(n, 3))
         pts = radius * pts / np.linalg.norm(pts, axis=1)[:, None]
         try:
-            config = factor_anchors(pts, SCALE)[0]
+            config, bundle = factor_anchors(pts, SCALE)
         except SingularGeometry:
             continue
         svals = np.linalg.svd(config.P, compute_uv=False)
         if (svals[0] / svals[-1]) ** 2 > 1e6:
             continue
-        return config, factor_edm(build_edm(config))
+        return config, bundle
 
 
 def exact_squares(config, q_centered):
@@ -164,7 +160,7 @@ def test_criterion_4_secular_equation_correctness(capsys):
             for _ in range(150):
                 config, bundle = make_instance(rng, n)
                 dm = faulty_measurement(rng, config, bundle)
-                sp = build_secular_general(dm, bundle)
+                sp = _secular_problem(eigen_coordinates(dm, bundle), bundle)
                 if sp.degenerate:
                     continue
                 assert abs(eval_f(sp, 0.0) + sp.kappa_dm) <= 1e-10 * abs(sp.kappa_dm)
@@ -273,7 +269,7 @@ def test_criterion_8_gradient_check(capsys):
             classes.setdefault(key, dm)
         h = 1e-6
         for dm in classes.values():
-            sp = build_secular_general(dm, bundle)
+            sp = _secular_problem(eigen_coordinates(dm, bundle), bundle)
             value, grad, _ = _quartic_pieces(sp)
             for _ in range(100):
                 x = rng.normal(size=3)

@@ -24,8 +24,8 @@ from edmpos.consistency import Verdict
 from edmpos.edm_core import (
     _augmented_eigs,
     _edm_classes,
+    _squared_distances,
     augmented_edm_check,
-    build_edm,
     factor_anchor_stack,
     factor_anchors,
 )
@@ -392,7 +392,7 @@ def test_stacked_factorization_lanes_equal_factor_anchors(r):
                          (config.P_pinv, c1.P_pinv), (bundle.D, b1.D), (bundle.b, b1.b),
                          (bundle.Z, b1.Z), (bundle.delta, b1.delta),
                          (bundle.P_eigen, b1.P_eigen), (bundle.E, b1.E),
-                         (bundle.D, build_edm(config))):
+                         (bundle.D, _squared_distances(config.P[None])[0])):
                 assert a.tobytes() == b.tobytes() and not a.flags.writeable
             assert (bundle.delta_sq, bundle.b_norm) == (b1.delta_sq, b1.b_norm)
             assert bundle.b_norm == float(np.linalg.norm(bundle.b))

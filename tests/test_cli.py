@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from edmpos.cli import EXIT_INFEASIBLE, EXIT_NO_CONVERGENCE, _options, build_parser, main
-from edmpos.errors import NotAnEdm, PoleEvaluation
+from edmpos.errors import GaleInfeasible, PoleEvaluation
 from edmpos.harness import (
     ConstantBias,
     PipelineOptions,
@@ -153,6 +153,30 @@ def test_wrong_schema_is_bad_input(tmp_path, capsys):
     assert main(["check", str(path)]) == 64
 
 
+# each edit of a valid scenario document, and a word its error message must hold
+MALFORMED = {
+    "no-satellites": (lambda d: {k: v for k, v in d.items() if k != "satellites"}, "satellites"),
+    "top-level-list": (lambda d: [d], "JSON object"),
+    "dim-list": (lambda d: {**d, "dim": [3]}, "dim"),
+    "fault-without-index": (lambda d: {**d, "fault": {"delta_sq": 5e9}}, "fault"),
+    "fault-index-null": (lambda d: {**d, "fault": {"index": None, "delta_sq": 5e9}}, "fault"),
+    "short-true-receiver": (lambda d: {**d, "true_receiver": d["true_receiver"][:2]},
+                            "true_receiver"),
+}
+
+
+@pytest.mark.parametrize("command", ["check", "solve"])
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_scenario_is_bad_input(tmp_path, capsys, case, command):
+    """A scenario file of the wrong structure exits 64 with one error line naming the part."""
+    edit, word = MALFORMED[case]
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(edit(generate_scenario(6, seed=201).to_dict())))
+    assert main([command, str(path)]) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and word in err and err.count("\n") == 1
+
+
 def test_flat_geometry_is_infeasible(tmp_path, capsys):
     rng = np.random.default_rng(11)
     flat = np.column_stack([rng.normal(size=(5, 2)) * 1e7, np.zeros(5)])
@@ -171,7 +195,7 @@ def test_no_arguments_is_bad_input(capsys):
 @pytest.mark.parametrize(
     "exc, code",
     [(PoleEvaluation("multiplier on a pole"), EXIT_NO_CONVERGENCE),
-     (NotAnEdm("projected Gram matrix is indefinite"), EXIT_INFEASIBLE)],
+     (GaleInfeasible("no point realizes this squared-range vector"), EXIT_INFEASIBLE)],
 )
 def test_solver_errors_exit_codes(clean_file, monkeypatch, capsys, exc, code):
     path, _ = clean_file

@@ -12,12 +12,7 @@ from edmpos.consistency import (
     kappa_band,
     self_consistency_test,
 )
-from edmpos.edm_core import (
-    augmented_edm_check,
-    build_edm,
-    factor_anchors,
-    factor_edm,
-)
+from edmpos.edm_core import augmented_edm_check, factor_anchors
 from edmpos.errors import BadShape, SingularGeometry
 
 
@@ -26,10 +21,9 @@ def make_bundle(rng, n, r=3, radius=2.66e7, scale=1e-7):
         pts = rng.normal(size=(n, r))
         pts = radius * pts / np.linalg.norm(pts, axis=1)[:, None]
         try:
-            config = factor_anchors(pts, scale)[0]
+            return factor_anchors(pts, scale)
         except SingularGeometry:
             continue
-        return config, factor_edm(build_edm(config))
 
 
 def exact_squares_from(config, q_centered):
@@ -38,9 +32,9 @@ def exact_squares_from(config, q_centered):
 
 
 def test_measurement_from_ranges():
-    m = Measurement.from_ranges(np.array([3.0e7, 2.5e7, 2.8e7, 3.1e7]), scale=1e-7)
-    assert m.n == 4
-    assert np.array_equal(m.dm, (1e-7 * m.raw_ranges) ** 2)
+    ranges = np.array([3.0e7, 2.5e7, 2.8e7, 3.1e7])
+    m = Measurement.from_ranges(ranges, scale=1e-7)
+    assert np.array_equal(m.dm, (1e-7 * ranges) ** 2)
     with pytest.raises(ValueError):
         Measurement.from_ranges(np.array([1.0, -2.0]), scale=1e-7)
 
@@ -92,10 +86,8 @@ def test_kappa_scale_equivariance():
     pts = rng.normal(size=(6, 3)) * 1e7
     q = rng.normal(size=3) * 1e6
     alpha = 3.0
-    c1 = factor_anchors(pts, scale=1e-7)[0]
-    c2 = factor_anchors(pts, scale=alpha * 1e-7)[0]
-    b1 = factor_edm(build_edm(c1))
-    b2 = factor_edm(build_edm(c2))
+    c1, b1 = factor_anchors(pts, scale=1e-7)
+    c2, b2 = factor_anchors(pts, scale=alpha * 1e-7)
     y1 = exact_squares_from(c1, 1e-7 * (q - c1.centroid)) + 0.3
     y2 = exact_squares_from(c2, alpha * 1e-7 * (q - c2.centroid)) + 0.3 * alpha**2
     k1, k2 = kappa(y1, b1), kappa(y2, b2)

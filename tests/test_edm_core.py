@@ -10,12 +10,10 @@ from edmpos.edm_core import (
     _classify_eigs,
     _squared_distances,
     augmented_edm_check,
-    build_edm,
     build_v_basis,
     factor_anchors,
-    factor_edm,
 )
-from edmpos.errors import BadShape, NotAnEdm, SingularGeometry
+from edmpos.errors import BadShape, SingularGeometry
 
 SIMPLEX = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
 SIMPLEX_D = np.array([
@@ -37,12 +35,13 @@ def brute_force_sq_distances(points):
     return D
 
 
-def random_shell_config(rng, n, r=3, radius=2.66e7, scale=1e-7):
+def random_shell_geometry(rng, n, r=3, radius=2.66e7, scale=1e-7):
+    """(config, bundle) of n anchors drawn on a shell, redrawn until factor_anchors accepts them."""
     while True:
         pts = rng.normal(size=(n, r))
         pts = radius * pts / np.linalg.norm(pts, axis=1)[:, None]
         try:
-            return factor_anchors(pts, scale)[0]
+            return factor_anchors(pts, scale)
         except SingularGeometry:
             continue
 
@@ -73,15 +72,14 @@ def test_anchors_without_coordinates_rejected():
 def test_centering_shell_points_order_one():
     rng = np.random.default_rng(11)
     for _ in range(10):
-        config = random_shell_config(rng, 6)
+        config = random_shell_geometry(rng, 6)[0]
         assert np.abs(config.P).max() < 10.0
         assert np.abs(config.P.sum(axis=0)).max() <= 1e-9 * np.abs(config.P).max()
         assert np.linalg.matrix_rank(config.P) == 3
 
 
 def test_build_edm_simplex_exact():
-    config = factor_anchors(SIMPLEX, scale=1.0)[0]
-    D = build_edm(config)
+    D = factor_anchors(SIMPLEX, scale=1.0)[1].D
     # centering is a translation, so the unit-simplex distances survive exactly
     assert np.array_equal(D, SIMPLEX_D)
 
@@ -89,8 +87,8 @@ def test_build_edm_simplex_exact():
 def test_build_edm_matches_brute_force():
     rng = np.random.default_rng(23)
     for n in (4, 5, 7, 10):
-        config = random_shell_config(rng, n)
-        D = build_edm(config)
+        config, bundle = random_shell_geometry(rng, n)
+        D = bundle.D
         D_ref = brute_force_sq_distances(config.P)
         assert np.abs(D - D_ref).max() <= 1e-12 * max(D_ref.max(), 1.0)
         assert np.array_equal(D, D.T)
@@ -103,9 +101,6 @@ def test_identical_points_give_zero_matrix():
     assert np.array_equal(D, np.zeros((4, 4)))
     with pytest.raises(SingularGeometry):
         factor_anchors(pts, scale=1.0)
-    # factoring the zero matrix directly yields an empty geometry
-    bundle = factor_edm(np.zeros((4, 4)))
-    assert bundle.r == 0
 
 
 def test_v_basis_n2():
@@ -129,7 +124,7 @@ def test_v_basis_projector_identity():
 
 
 def test_factor_simplex():
-    bundle = factor_edm(SIMPLEX_D)
+    bundle = factor_anchors(SIMPLEX, scale=1.0)[1]
     assert bundle.r == 3
     assert bundle.Z.shape == (4, 0)
     B = gram_from_edm(bundle.D)
@@ -139,12 +134,13 @@ def test_factor_simplex():
 
 
 def test_factor_coplanar_five_points():
-    """Five points in a plane: inferred dimension 2, two affine dependencies."""
+    """Five points in a plane: rank 2 in three columns, two affine dependencies in two."""
     rng = np.random.default_rng(31)
     pts = np.zeros((5, 3))
     pts[:, :2] = rng.normal(size=(5, 2))
-    D = brute_force_sq_distances(pts)
-    bundle = factor_edm(D)
+    with pytest.raises(SingularGeometry):
+        factor_anchors(pts, scale=1.0)
+    bundle = factor_anchors(pts[:, :2], scale=1.0)[1]
     assert bundle.r == 2
     assert bundle.Z.shape == (5, 2)
     centered = pts - pts.mean(axis=0)
@@ -161,8 +157,7 @@ def pseudo_inverse(bundle):
 def test_bundle_identities():
     rng = np.random.default_rng(47)
     for n in (4, 6, 9):
-        config = random_shell_config(rng, n)
-        bundle = factor_edm(build_edm(config))
+        config, bundle = random_shell_geometry(rng, n)
         B, Bdag, V = gram_from_edm(bundle.D), pseudo_inverse(bundle), build_v_basis(n)
         X = -0.5 * (V.T @ bundle.D @ V)
         ref = max(np.abs(B).max(), 1.0)
@@ -182,8 +177,7 @@ def test_bundle_identities():
 def test_gale_matrix_orthogonality():
     rng = np.random.default_rng(59)
     for n in (6, 8, 10):
-        config = random_shell_config(rng, n)
-        bundle = factor_edm(build_edm(config))
+        config, bundle = random_shell_geometry(rng, n)
         assert bundle.Z.shape == (n, n - 4)
         assert np.abs(bundle.Z.T @ config.P).max() <= 1e-9
         assert np.abs(bundle.Z.T @ np.ones(n)).max() <= 1e-9
@@ -192,8 +186,7 @@ def test_gale_matrix_orthogonality():
 
 def test_eigen_configuration_realizes_gram():
     rng = np.random.default_rng(61)
-    config = random_shell_config(rng, 7)
-    bundle = factor_edm(build_edm(config))
+    bundle = random_shell_geometry(rng, 7)[1]
     Pe = bundle.P_eigen
     B = gram_from_edm(bundle.D)
     assert np.abs(Pe @ Pe.T - B).max() <= 1e-10 * max(np.abs(B).max(), 1.0)
@@ -202,28 +195,9 @@ def test_eigen_configuration_realizes_gram():
 def test_gram_edm_round_trip():
     rng = np.random.default_rng(71)
     for n in (4, 6, 8):
-        config = random_shell_config(rng, n)
-        D = build_edm(config)
+        D = random_shell_geometry(rng, n)[1].D
         D2 = edm_from_gram(gram_from_edm(D))
         assert np.abs(D2 - D).max() <= 1e-10 * max(np.abs(D).max(), 1.0)
-
-
-def test_factor_rejects_nonsymmetric_and_nonzero_diagonal():
-    M = SIMPLEX_D.copy()
-    M[0, 1] = 5.0
-    with pytest.raises(BadShape):
-        factor_edm(M)
-    M = SIMPLEX_D.copy()
-    M[2, 2] = 1.0
-    with pytest.raises(BadShape):
-        factor_edm(M)
-
-
-def test_factor_rejects_non_edm_with_witness():
-    D = np.array([[0.0, 10.0, 1.0], [10.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
-    with pytest.raises(NotAnEdm) as exc:
-        factor_edm(D)
-    assert exc.value.witness is not None and exc.value.witness < 0.0
 
 
 def test_classify_simplex_and_triangle_violation():
@@ -272,14 +246,13 @@ def test_classify_agrees_with_mds_reconstruction():
 def test_augmented_check_examples():
     rng = np.random.default_rng(97)
     for n in (4, 6):
-        config = random_shell_config(rng, n)
-        bundle = factor_edm(build_edm(config))
+        bundle = random_shell_geometry(rng, n)[1]
         e = np.ones(n)
         at_centroid = augmented_edm_check(bundle, bundle.b)
         assert at_centroid.is_edm and at_centroid.dim == 3
         lifted = augmented_edm_check(bundle, bundle.b + e)
         assert lifted.is_edm and lifted.dim == 4
-    simplex_bundle = factor_edm(SIMPLEX_D)
+    simplex_bundle = factor_anchors(SIMPLEX, scale=1.0)[1]
     sunk = augmented_edm_check(simplex_bundle, simplex_bundle.b - np.ones(4))
     assert not sunk.is_edm
 
@@ -316,7 +289,7 @@ def test_eigenvalues_only_oracle_decides_every_lane_as_eigh(n):
 
 
 def test_augmented_check_rejects_bad_length():
-    bundle = factor_edm(SIMPLEX_D)
+    bundle = factor_anchors(SIMPLEX, scale=1.0)[1]
     with pytest.raises(BadShape):
         augmented_edm_check(bundle, np.ones(5))
 
@@ -324,9 +297,8 @@ def test_augmented_check_rejects_bad_length():
 def test_scale_equivariance():
     rng = np.random.default_rng(101)
     pts = rng.normal(size=(6, 3)) * 1e7
-    c1 = factor_anchors(pts, scale=1e-7)[0]
-    c2 = factor_anchors(pts, scale=2e-7)[0]
-    D1, D2 = build_edm(c1), build_edm(c2)
+    D1 = factor_anchors(pts, scale=1e-7)[1].D
+    D2 = factor_anchors(pts, scale=2e-7)[1].D
     assert np.allclose(D2, 4.0 * D1, rtol=1e-14, atol=0.0)
     t1, t2 = classify_edm(D1), classify_edm(D2)
     assert t1.is_edm == t2.is_edm and t1.dim == t2.dim
@@ -338,9 +310,9 @@ def test_classify_generated_configs_recovers_dimension():
         while True:
             pts = rng.normal(size=(n, r)) * 1e6
             try:
-                config = factor_anchors(pts, scale=1e-6)[0]
+                bundle = factor_anchors(pts, scale=1e-6)[1]
                 break
             except SingularGeometry:
                 continue
-        verdict = classify_edm(build_edm(config))
+        verdict = classify_edm(bundle.D)
         assert verdict == EdmClass.edm_of_dim(r)

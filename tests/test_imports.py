@@ -1,5 +1,6 @@
 """Import hygiene: every name a package module imports is used there (no linter is a
-dependency), and importing the package or running the default pipeline leaves scipy out."""
+dependency), every export has a caller, and importing the package or running the default
+pipeline leaves scipy out."""
 
 import ast
 import os
@@ -7,7 +8,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import edmpos
+
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "edmpos"
+# the benchmark's modules that call the package
+BENCHMARK_CALLERS = [PACKAGE.parents[1] / "perfbench" / name for name in ("workloads.py", "run.py")]
 
 SCIPY_PROBE = """
 import sys
@@ -47,6 +52,26 @@ def test_package_modules_have_no_unused_imports():
     assert modules
     found = {p.name: unused_imports(p.read_text()) for p in modules}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def referenced_names(source: str) -> set[str]:
+    """Every name source refers to: as a name, as an attribute, or in an import."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update(filter(None, [node.name, node.asname]))
+    return names
+
+
+def test_every_export_has_a_caller():
+    """Each name in edmpos.__all__ is used by another package module or by the benchmark."""
+    callers = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"] + BENCHMARK_CALLERS
+    referenced = set().union(*(referenced_names(p.read_text()) for p in callers))
+    assert sorted(set(edmpos.__all__) - referenced) == []
 
 
 def test_scipy_is_imported_only_when_the_oracle_runs():

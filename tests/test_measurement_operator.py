@@ -3,16 +3,17 @@
 Every number a solve reports about a measurement and about its projection is
 read off E z for z = y - b.  These tests recompute each one from its direct
 definition: kappa from the pseudoinverse B^+, the Gale residual from a
-least-squares fit of z on [P_eigen 1], and the receiver from recover_position
-on the reported y_star and from a least-squares solve of
-2 P q = b - y - mean(b - y).
+least-squares fit of z on [P_eigen 1], and the receiver from
+position_from_coordinates on the reported y_star and from a least-squares
+solve of 2 P q = b - y - mean(b - y).
 """
 
 import numpy as np
 import pytest
 
 from edmpos.consistency import GALE_NORM_FLOOR, eigen_coordinates, self_consistency_test
-from edmpos.edm_core import build_edm, factor_anchors, factor_edm
+from edm_helpers import eigh_bundle
+from edmpos.edm_core import factor_anchors
 from edmpos.harness import (
     GaussianSq,
     SingleFault,
@@ -20,7 +21,7 @@ from edmpos.harness import (
     generate_scenario,
     prepare_scenario,
 )
-from edmpos.position import recover_position
+from edmpos.position import position_from_coordinates
 from edmpos.solver_general import solve_qcqp, solve_unconstrained
 
 FAULT_SQ = 5.0e9
@@ -110,7 +111,8 @@ def test_operator_identities_match_direct_forms(solve):
 
         tol = 16.0 * np.sqrt(condition(sc)) * EPS * float(np.abs(config.P).max())
         q = report.fix.q_centered
-        assert np.abs(q - recover_position(y_star, bundle, config).q_centered).max() <= tol
+        fix = position_from_coordinates(eigen_coordinates(y_star, bundle), bundle, config)
+        assert np.abs(q - fix.q_centered).max() <= tol
         assert np.abs(q - lstsq_position(y_star, bundle, config)).max() <= tol
 
 
@@ -119,7 +121,7 @@ def test_anchor_route_matches_distance_matrix_route():
     rng = np.random.default_rng(17)
     for sc in INSTANCES[::3]:
         config, bundle = factor_anchors(sc.satellites)
-        ref = factor_edm(build_edm(config))
+        ref = eigh_bundle(bundle.D)
         assert bundle.r == ref.r == config.r
         # eigh resolves every eigenvalue to round-off of the largest one, so
         # the smallest is compared on that scale, not on its own

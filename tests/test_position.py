@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from edmpos.edm_core import build_edm, factor_anchors, factor_edm
+from edmpos.consistency import eigen_coordinates
+from edmpos.edm_core import factor_anchors
 from edmpos.errors import BadShape, GaleInfeasible, SingularGeometry
 from edmpos.harness import GaussianSq, apply_noise, generate_scenario, prepare_scenario
-from edmpos.position import recover_position
+from edmpos.position import position_from_coordinates
 from fix_residuals import verify_fix
 from edmpos.solver_general import solve_qcqp
 
@@ -16,13 +17,18 @@ def make_instance(rng, n, radius=2.66e7, scale=1e-7):
         pts = rng.normal(size=(n, 3))
         pts = radius * pts / np.linalg.norm(pts, axis=1)[:, None]
         try:
-            config = factor_anchors(pts, scale)[0]
+            config, bundle = factor_anchors(pts, scale)
         except SingularGeometry:
             continue
         svals = np.linalg.svd(config.P, compute_uv=False)
         if (svals[0] / svals[-1]) ** 2 > 1e6:
             continue
-        return config, factor_edm(build_edm(config))
+        return config, bundle
+
+
+def recover(y, bundle, config):
+    """The receiver the solvers' shared tail recovers from the squared ranges y."""
+    return position_from_coordinates(eigen_coordinates(y, bundle), bundle, config)
 
 
 def exact_squares(config, q_centered):
@@ -33,7 +39,7 @@ def exact_squares(config, q_centered):
 def test_gram_diagonal_recovers_centroid():
     rng = np.random.default_rng(101)
     config, bundle = make_instance(rng, 6)
-    fix = recover_position(bundle.b, bundle, config)
+    fix = recover(bundle.b, bundle, config)
     assert np.abs(fix.q_centered).max() <= 1e-12
     assert np.allclose(fix.q_world, config.centroid, atol=1e-5)
     assert fix.qtq_direct <= 1e-12
@@ -47,7 +53,7 @@ def test_round_trip_random_points():
             config, bundle = make_instance(rng, n)
             q = rng.uniform(-1.0, 1.0, size=3)  # anywhere well inside the shell
             y = exact_squares(config, q)
-            fix = recover_position(y, bundle, config)
+            fix = recover(y, bundle, config)
             assert np.linalg.norm(fix.q_centered - q) <= 1e-8 * max(1.0, np.linalg.norm(q))
             assert abs(fix.qtq_direct - fix.qtq_identity) <= 1e-8
             # the defining linear system holds at the recovered point
@@ -60,7 +66,7 @@ def test_world_coordinates():
     rng = np.random.default_rng(107)
     config, bundle = make_instance(rng, 6)
     q = np.array([0.3, -0.5, 0.2])
-    fix = recover_position(exact_squares(config, q), bundle, config)
+    fix = recover(exact_squares(config, q), bundle, config)
     expected = q / config.scale + config.centroid
     assert np.allclose(fix.q_world, expected, atol=1e-6)
 
@@ -76,10 +82,9 @@ def test_rotation_equivariance():
             R[:, 0] = -R[:, 0]
 
         def fix_for(points, receiver):
-            config = factor_anchors(points, 1e-7)[0]
-            bundle = factor_edm(build_edm(config))
+            config, bundle = factor_anchors(points, 1e-7)
             y = exact_squares(config, (receiver - config.centroid) * config.scale)
-            return recover_position(y, bundle, config)
+            return recover(y, bundle, config)
 
         fix_a = fix_for(pts, x_true)
         fix_b = fix_for(pts @ R.T, R @ x_true)
@@ -94,10 +99,9 @@ def test_scale_choice_cancels():
     x_true = np.array([1.2e6, -3.4e6, 2.2e6])
     worlds = []
     for scale in (1e-7, 1e-6, 1.0):
-        config = factor_anchors(pts, scale)[0]
-        bundle = factor_edm(build_edm(config))
+        config, bundle = factor_anchors(pts, scale)
         y = exact_squares(config, (x_true - config.centroid) * scale)
-        worlds.append(recover_position(y, bundle, config).q_world)
+        worlds.append(recover(y, bundle, config).q_world)
     assert np.linalg.norm(worlds[0] - worlds[1]) <= 1e-5
     assert np.linalg.norm(worlds[0] - worlds[2]) <= 1e-4
 
@@ -108,7 +112,7 @@ def test_infeasible_vector_rejected():
     w = rng.normal(size=bundle.Z.shape[1])
     y_bad = bundle.b + bundle.Z @ (w / np.linalg.norm(w))
     with pytest.raises(GaleInfeasible):
-        recover_position(y_bad, bundle, config)
+        recover(y_bad, bundle, config)
 
 
 def test_mismatched_sizes_rejected():
@@ -116,7 +120,7 @@ def test_mismatched_sizes_rejected():
     config, _ = make_instance(rng, 5)
     _, bundle6 = make_instance(rng, 6)
     with pytest.raises(BadShape):
-        recover_position(bundle6.b, bundle6, config)
+        recover(bundle6.b, bundle6, config)
 
 
 def test_rank_deficient_anchors_rejected():
@@ -133,7 +137,7 @@ def test_verify_fix_clean_measurement():
     config, bundle = make_instance(rng, 6)
     q = np.array([0.1, 0.4, -0.2])
     y = exact_squares(config, q)
-    fix = recover_position(y, bundle, config)
+    fix = recover(y, bundle, config)
     report = verify_fix(fix, y, config)
     assert report.max_abs_scaled <= 1e-9
     assert report.rms_range_m <= 1e-6
@@ -166,7 +170,7 @@ def lstsq_position(y, bundle, config):
 
 
 def test_stored_operator_matches_lstsq_up_to_cond_1e5():
-    """recover_position's stored R^-1 Q' against a least-squares reference.
+    """The stored position operator P_pinv against a least-squares reference.
 
     Geometries come from generate_scenario (normal-matrix condition number up
     to 1e5); the four-anchor draws are screened for cond > 1e4 to reach the
@@ -190,7 +194,7 @@ def test_stored_operator_matches_lstsq_up_to_cond_1e5():
         worst_cond = max(worst_cond, cond)
         tol = 16.0 * np.sqrt(cond) * np.finfo(float).eps * float(np.abs(sats).max())
         config, bundle, meas = prepare_scenario(sc)
-        fix = recover_position(meas.dm, bundle, config)
+        fix = recover(meas.dm, bundle, config)
         assert np.abs(fix.q_world - lstsq_position(meas.dm, bundle, config)).max() <= tol
         noisy = apply_noise(sc, GaussianSq(2.0), seed=seed)
         _, _, meas = prepare_scenario(noisy)

@@ -5,13 +5,8 @@ import pytest
 from scipy.optimize import brentq
 
 from edmpos import solver_general
-from edmpos.consistency import Verdict, kappa, kappa_band
-from edmpos.edm_core import (
-    augmented_edm_check,
-    build_edm,
-    factor_anchors,
-    factor_edm,
-)
+from edmpos.consistency import Verdict, eigen_coordinates, kappa, kappa_band
+from edmpos.edm_core import augmented_edm_check, factor_anchors
 from edmpos.errors import PoleEvaluation, SingularGeometry
 from edmpos.harness import (
     GaussianSq,
@@ -20,12 +15,12 @@ from edmpos.harness import (
     generate_scenario,
     prepare_scenario,
 )
-from edmpos.position import recover_position
+from edmpos.position import position_from_coordinates
 from edmpos.solver_general import (
     DEFAULT_SECULAR_TOL,
     POLE_GUARD,
     _quartic_pieces,
-    build_secular_general,
+    _secular_problem,
     eval_f,
     eval_f_prime,
     minimize_quartic,
@@ -41,13 +36,18 @@ def make_instance(rng, n, radius=2.66e7, scale=1e-7):
         pts = rng.normal(size=(n, 3))
         pts = radius * pts / np.linalg.norm(pts, axis=1)[:, None]
         try:
-            config = factor_anchors(pts, scale)[0]
+            config, bundle = factor_anchors(pts, scale)
         except SingularGeometry:
             continue
         svals = np.linalg.svd(config.P, compute_uv=False)
         if (svals[0] / svals[-1]) ** 2 > 1e6:
             continue
-        return config, factor_edm(build_edm(config))
+        return config, bundle
+
+
+def secular_problem(dm, bundle):
+    """The secular problem solve_qcqp builds for the measurement dm."""
+    return _secular_problem(eigen_coordinates(dm, bundle), bundle)
 
 
 def exact_squares(config, q_centered):
@@ -102,7 +102,7 @@ def scalar_kernel_instances():
                 model = GaussianSq(2.0)
             sc = apply_noise(sc, model, rng=rng, clamp=True)
             _, bundle, meas = prepare_scenario(sc)
-            yield build_secular_general(meas.dm, bundle)
+            yield secular_problem(meas.dm, bundle)
 
 
 def test_scalar_kernel_matches_array_and_pole_sum_forms():
@@ -158,7 +158,7 @@ def faulty_measurement(rng, config, bundle, scale=0.2):
 def test_build_at_gram_diagonal():
     rng = np.random.default_rng(3)
     _, bundle = make_instance(rng, 6)
-    sp = build_secular_general(bundle.b, bundle)
+    sp = secular_problem(bundle.b, bundle)
     assert np.abs(sp.w).max() <= 1e-12
     assert sp.hprime == 0.0
     assert sp.kappa_dm == 0.0
@@ -172,7 +172,7 @@ def test_constant_offset_collapses_to_centroid():
     rng = np.random.default_rng(5)
     _, bundle = make_instance(rng, 6)
     delta = 0.05 * bundle.delta[-1]  # keeps the root inside (0, nu_r)
-    sp = build_secular_general(bundle.b + delta * np.ones(6), bundle)
+    sp = secular_problem(bundle.b + delta * np.ones(6), bundle)
     assert np.abs(sp.w).max() <= 1e-10
     assert sp.hprime == pytest.approx(4.0 * delta, rel=1e-12)
     lam_star = sp.n * delta / 2.0
@@ -200,7 +200,7 @@ def test_f_at_zero_is_minus_kappa():
     for n in (5, 6, 8):
         config, bundle = make_instance(rng, n)
         dm = faulty_measurement(rng, config, bundle)
-        sp = build_secular_general(dm, bundle)
+        sp = secular_problem(dm, bundle)
         assert eval_f(sp, 0.0) == -sp.kappa_dm
         assert abs(eval_f_raw(sp, 0.0) + sp.kappa_dm) <= 1e-10 * max(1.0, abs(sp.kappa_dm))
 
@@ -209,7 +209,7 @@ def test_pole_sum_identity():
     rng = np.random.default_rng(13)
     config, bundle = make_instance(rng, 7)
     dm = faulty_measurement(rng, config, bundle)
-    sp = build_secular_general(dm, bundle)
+    sp = secular_problem(dm, bundle)
     z = dm - bundle.b
     quad = float(z @ pseudo_inverse(bundle) @ z)
     assert np.sum((sp.w / sp.nu) ** 2) == pytest.approx(quad, rel=1e-10)
@@ -220,7 +220,7 @@ def test_secular_function_matrix_route():
     rng = np.random.default_rng(17)
     config, bundle = make_instance(rng, 6)
     dm = faulty_measurement(rng, config, bundle)
-    sp = build_secular_general(dm, bundle)
+    sp = secular_problem(dm, bundle)
     P = config.P
     z = dm - bundle.b
     G = P.T @ P
@@ -238,7 +238,7 @@ def test_secular_monotone_in_bracket():
     rng = np.random.default_rng(19)
     config, bundle = make_instance(rng, 6)
     dm = faulty_measurement(rng, config, bundle)
-    sp = build_secular_general(dm, bundle)
+    sp = secular_problem(dm, bundle)
     lo = multiplier_bracket(sp)[0] if sp.kappa_dm < 0.0 else 0.0
     hi = (1.0 - 1e-6) * sp.nu[-1]
     grid = np.linspace(lo + 1e-9, hi, 1000)
@@ -251,7 +251,7 @@ def test_pole_guard():
     rng = np.random.default_rng(23)
     config, bundle = make_instance(rng, 6)
     dm = faulty_measurement(rng, config, bundle)
-    sp = build_secular_general(dm, bundle)
+    sp = secular_problem(dm, bundle)
     with pytest.raises(PoleEvaluation):
         eval_f(sp, float(sp.nu[-1]))
 
@@ -294,7 +294,7 @@ def test_solve_faulty_contracts():
         config, bundle = make_instance(rng, 6)
         dm = faulty_measurement(rng, config, bundle)
         report = solve_qcqp(dm, bundle, config=config)
-        sp = build_secular_general(dm, bundle)
+        sp = secular_problem(dm, bundle)
         lo, hi = multiplier_bracket(sp)
         lam = report.lambda_star
         assert lo < lam < hi
@@ -315,7 +315,7 @@ def test_quartic_gradient_matches_finite_differences():
     rng = np.random.default_rng(37)
     config, bundle = make_instance(rng, 6)
     dm = faulty_measurement(rng, config, bundle)
-    sp = build_secular_general(dm, bundle)
+    sp = secular_problem(dm, bundle)
     value, grad, hess = _quartic_pieces(sp)
     h = 1e-6
     for _ in range(100):
@@ -332,7 +332,7 @@ def test_quartic_hessian_matches_gradient_differences():
     rng = np.random.default_rng(41)
     config, bundle = make_instance(rng, 6)
     dm = faulty_measurement(rng, config, bundle)
-    sp = build_secular_general(dm, bundle)
+    sp = secular_problem(dm, bundle)
     _, grad, hess = _quartic_pieces(sp)
     h = 1e-6
     for _ in range(10):
@@ -348,7 +348,7 @@ def test_quartic_hessian_matches_gradient_differences():
 def test_minimize_quartic_at_gram_diagonal():
     rng = np.random.default_rng(43)
     _, bundle = make_instance(rng, 6)
-    sp = build_secular_general(bundle.b, bundle)
+    sp = secular_problem(bundle.b, bundle)
     state, iterations, converged = minimize_quartic(sp)
     assert converged and iterations == 0
     assert np.abs(state.x).max() <= 1e-12
@@ -396,7 +396,7 @@ def projection_n4_reference(dm, bundle, config):
     else:
         lam = brentq(g, k / 2.0, 0.0, xtol=1e-300, maxiter=500)
     y = dm + S @ (-lam * c / (1.0 - lam * mu))
-    return y, recover_position(y, bundle, config).q_world
+    return y, position_from_coordinates(eigen_coordinates(y, bundle), bundle, config).q_world
 
 
 def secular_reference(dm, bundle, config):
@@ -452,7 +452,7 @@ def test_newton_from_zero_is_monotone_and_matches_brentq(n, monkeypatch):
         report = solve_qcqp(meas.dm, bundle, config=config)
         if report.bracket is None:  # inside the kappa band: multiplier zero
             continue
-        sp = build_secular_general(meas.dm, bundle)
+        sp = secular_problem(meas.dm, bundle)
         ftol = DEFAULT_SECULAR_TOL * max(1.0, abs(sp.hprime))
         assert len(seen) == report.iterations >= 1
         lams = [lam for lam, _ in seen]
@@ -532,7 +532,7 @@ def test_negative_offset_takes_the_secular_root(n):
     rng = np.random.default_rng(73 + n)
     config, bundle = make_instance(rng, n)
     dm = bundle.b - 0.5 * np.ones(n)
-    sp = build_secular_general(dm, bundle)
+    sp = secular_problem(dm, bundle)
     assert sp.degenerate and sp.kappa_dm < 0.0
     report = solve_qcqp(dm, bundle, config=config)
     ref = nlp_oracle(dm, config, bundle=bundle)
@@ -540,10 +540,3 @@ def test_negative_offset_takes_the_secular_root(n):
     assert report.iterations <= 2
     assert report.lambda_star == pytest.approx(n * sp.kappa_dm / 8.0, rel=1e-12)
     assert abs(report.objective - ref.objective) <= 1e-6 * ref.objective
-
-
-def test_rank_zero_geometry_rejected():
-    bundle = factor_edm(np.zeros((5, 5)))
-    assert bundle.r == 0
-    with pytest.raises(SingularGeometry):
-        build_secular_general(np.ones(5), bundle)

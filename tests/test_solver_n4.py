@@ -3,16 +3,11 @@
 import numpy as np
 import pytest
 
-from edmpos.consistency import Verdict, kappa, kappa_band
-from edmpos.edm_core import (
-    augmented_edm_check,
-    build_edm,
-    factor_anchors,
-    factor_edm,
-)
+from edmpos.consistency import Verdict, eigen_coordinates, kappa, kappa_band
+from edmpos.edm_core import augmented_edm_check, factor_anchors
 from edmpos.errors import PoleEvaluation, SingularGeometry
 from edmpos.solver_general import (
-    build_secular_general,
+    _secular_problem,
     eval_f,
     eval_f_prime,
     multiplier_bracket,
@@ -26,13 +21,18 @@ def make_instance(rng, radius=2.66e7, scale=1e-7):
         pts = rng.normal(size=(4, 3))
         pts = radius * pts / np.linalg.norm(pts, axis=1)[:, None]
         try:
-            config = factor_anchors(pts, scale)[0]
+            config, bundle = factor_anchors(pts, scale)
         except SingularGeometry:
             continue
         svals = np.linalg.svd(config.P, compute_uv=False)
         if (svals[0] / svals[-1]) ** 2 > 1e6:
             continue  # same conditioning screen as the scenario generator
-        return config, factor_edm(build_edm(config))
+        return config, bundle
+
+
+def secular_problem(dm, bundle):
+    """The secular problem solve_qcqp builds for the measurement dm."""
+    return _secular_problem(eigen_coordinates(dm, bundle), bundle)
 
 
 def exact_squares(config, q_centered):
@@ -64,7 +64,7 @@ def faulty_measurement(rng, config, bundle):
 def test_build_at_gram_diagonal():
     rng = np.random.default_rng(3)
     _, bundle = make_instance(rng)
-    sp = build_secular_general(bundle.b, bundle)
+    sp = secular_problem(bundle.b, bundle)
     assert np.abs(sp.w).max() <= 1e-12
     assert sp.hprime == 0.0
     assert sp.kappa_dm == 0.0
@@ -78,7 +78,7 @@ def test_build_at_gram_diagonal():
 def test_build_at_constant_offset():
     rng = np.random.default_rng(5)
     _, bundle = make_instance(rng)
-    sp = build_secular_general(bundle.b + 0.25 * np.ones(4), bundle)
+    sp = secular_problem(bundle.b + 0.25 * np.ones(4), bundle)
     assert np.abs(sp.w).max() <= 1e-12
     assert sp.hprime == pytest.approx(1.0, rel=1e-12)
     assert sp.kappa_dm == pytest.approx(1.0, rel=1e-12)
@@ -89,7 +89,7 @@ def test_build_spectral_data_well_formed():
     rng = np.random.default_rng(7)
     config, bundle = make_instance(rng)
     dm = faulty_measurement(rng, config, bundle)
-    sp = build_secular_general(dm, bundle)
+    sp = secular_problem(dm, bundle)
     assert sp.nu[0] >= sp.nu[1] >= sp.nu[2] > 0.0
     G = bundle.P_eigen.T @ bundle.P_eigen
     assert np.abs(G - np.diag(sp.nu)).max() <= 1e-10 * sp.nu[0]
@@ -104,7 +104,7 @@ def test_secular_forms_agree():
     rng = np.random.default_rng(11)
     config, bundle = make_instance(rng)
     dm = faulty_measurement(rng, config, bundle)
-    sp = build_secular_general(dm, bundle)
+    sp = secular_problem(dm, bundle)
     lo, hi = multiplier_bracket(sp)
     for lam in rng.uniform(lo + 1e-6 * (hi - lo), hi - 1e-6 * (hi - lo), size=100):
         a = eval_f(sp, float(lam))
@@ -117,7 +117,7 @@ def test_secular_matches_kkt_residual_path():
     rng = np.random.default_rng(13)
     config, bundle = make_instance(rng)
     dm = faulty_measurement(rng, config, bundle)
-    sp = build_secular_general(dm, bundle)
+    sp = secular_problem(dm, bundle)
     lo, hi = multiplier_bracket(sp)
     for lam in rng.uniform(lo + 1e-4 * (hi - lo), hi - 1e-4 * (hi - lo), size=20):
         lam = float(lam)
@@ -132,7 +132,7 @@ def test_secular_value_at_zero():
     for _ in range(20):
         config, bundle = make_instance(rng)
         dm = faulty_measurement(rng, config, bundle)
-        sp = build_secular_general(dm, bundle)
+        sp = secular_problem(dm, bundle)
         assert eval_f(sp, 0.0) == -sp.kappa_dm
 
 
@@ -140,7 +140,7 @@ def test_secular_monotone_in_bracket():
     rng = np.random.default_rng(19)
     config, bundle = make_instance(rng)
     dm = faulty_measurement(rng, config, bundle)
-    sp = build_secular_general(dm, bundle)
+    sp = secular_problem(dm, bundle)
     lo = multiplier_bracket(sp)[0] if sp.kappa_dm < 0.0 else 0.0
     hi = (1.0 - 1e-6) * sp.nu[-1]
     grid = np.linspace(lo + 1e-9, hi, 1000)
@@ -153,7 +153,7 @@ def test_pole_guard():
     rng = np.random.default_rng(23)
     config, bundle = make_instance(rng)
     dm = faulty_measurement(rng, config, bundle)
-    sp = build_secular_general(dm, bundle)
+    sp = secular_problem(dm, bundle)
     with pytest.raises(PoleEvaluation):
         eval_f(sp, float(sp.nu[-1]))
 
@@ -176,7 +176,7 @@ def test_solve_faulty_instances_meet_contracts():
         config, bundle = make_instance(rng)
         dm = faulty_measurement(rng, config, bundle)
         report = solve_qcqp(dm, bundle, config=config)
-        sp = build_secular_general(dm, bundle)
+        sp = secular_problem(dm, bundle)
         lo, hi = multiplier_bracket(sp)
         lam = report.lambda_star
         assert lo < lam < hi
@@ -226,10 +226,8 @@ def test_scale_equivariance():
     q_world = 1e6 * rng.normal(size=3)
     ranges = np.linalg.norm(pts - q_world, axis=1) * (1.0 + rng.uniform(-0.005, 0.005, size=4))
     alpha = 2.0
-    c1 = factor_anchors(pts, 1e-7)[0]
-    c2 = factor_anchors(pts, alpha * 1e-7)[0]
-    b1 = factor_edm(build_edm(c1))
-    b2 = factor_edm(build_edm(c2))
+    c1, b1 = factor_anchors(pts, 1e-7)
+    c2, b2 = factor_anchors(pts, alpha * 1e-7)
     r1 = solve_qcqp((1e-7 * ranges) ** 2, b1, config=c1)
     r2 = solve_qcqp((alpha * 1e-7 * ranges) ** 2, b2, config=c2)
     assert np.allclose(r2.y_star, alpha**2 * r1.y_star, rtol=1e-9)
